@@ -373,16 +373,20 @@ RegionModel buildRegionModel(const Kernel& kernel, const For& loop,
 
 std::map<int, std::string> contextFingerprints(const RegionModel& model) {
   smt::Fingerprinter fp(*model.atoms);
-  // Group the per-constraint content keys by context, then digest each
-  // canonical conjunction. Sorting inside conjunctionKey makes the digest
+  // Sum the per-constraint digests by context, then digest each
+  // conjunction as a solver check would key it. The sum makes the digest
   // independent of knowledge insertion order.
-  std::map<int, std::vector<std::string>> parts;
-  for (const auto& k : model.knowledge)
-    parts[k.context].push_back(
+  std::map<int, std::pair<smt::ContentDigest, size_t>> sums;
+  for (const auto& k : model.knowledge) {
+    auto& [sum, depth] = sums[k.context];
+    sum += smt::constraintDigest(
         fp.constraintKey(smt::Constraint::ne(k.primed, k.other)));
+    ++depth;
+  }
   std::map<int, std::string> out;
-  for (auto& [ctx, keys] : parts)
-    out[ctx] = smt::contentDigest(smt::conjunctionKey(std::move(keys)));
+  for (const auto& [ctx, s] : sums)
+    out[ctx] =
+        smt::keyDigest(smt::KeyKind::Check, 0, s.first, s.second, {}).hex();
   return out;
 }
 

@@ -134,8 +134,9 @@ struct ModelOptions {
                                            const ModelOptions& opts = {});
 
 /// Content-addressed fingerprint of each context's knowledge base: context
-/// id -> 128-bit hex digest of the canonical (sorted) conjunction of the
-/// context's knowledge constraints. Stable across runs and knowledge
+/// id -> 128-bit hex ContentKey digest of the conjunction of the context's
+/// knowledge constraints (keyed as a solver check, absint off). Stable
+/// across runs and knowledge
 /// insertion order; editing one index expression moves only the digests of
 /// the contexts whose knowledge mentions it. The incremental re-analysis
 /// tests pin golden values of these for the paper kernels.

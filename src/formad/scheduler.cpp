@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <tuple>
 #include <map>
 #include <memory>
 #include <set>
@@ -69,9 +67,25 @@ void QueryScheduler::plan() {
     for (const auto& p : model_.questions[vi].pairs)
       questionsAt[p.context].push_back(Q{&p, vi});
 
-  // Content-key deriver shared by the whole plan: base deltas, probe keys,
-  // and task fingerprints all come from one memo over the region's atoms.
+  // Content-key deriver shared by the whole plan: base deltas and probes
+  // all come from one memo over the region's atoms.
   smt::Fingerprinter fp(*model_.atoms);
+  // Task keys are built only when a store is attached, from the store's
+  // interner — fault injection disables the store outright, since injected
+  // verdicts are not pure functions of the conjunction and must never be
+  // persisted.
+  smt::ConstraintInterner* interner =
+      opts_.store != nullptr && opts_.faultInject == nullptr
+          ? &opts_.store->interner()
+          : nullptr;
+  // Digest of one constraint; with a store, also its interned key.
+  auto keyOf = [&](const Constraint& c,
+                   const smt::InternedConstraint*& interned) {
+    std::string key = fp.constraintKey(c);
+    if (interner == nullptr) return smt::constraintDigest(key);
+    interned = interner->intern(std::move(key));
+    return interned->digest;
+  };
 
   // The base prefix tree. Node 0 is the root assertion — two threads never
   // share a loop-counter value — and every knowledge assertion the DFS
@@ -80,14 +94,15 @@ void QueryScheduler::plan() {
   auto appendBase = [&](int parent, Constraint delta) {
     BaseNode n;
     n.parent = parent;
-    n.deltaKey = fp.constraintKey(delta);
+    const smt::ContentDigest d = keyOf(delta, n.deltaKey);
     n.delta = std::move(delta);
-    const BaseNode* p =
-        parent < 0 ? nullptr : &bases_[static_cast<size_t>(parent)];
-    n.depth = (p == nullptr ? 0 : p->depth) + 1;
-    n.sum0 = (p == nullptr ? 0 : p->sum0) + smt::fnv1a64(n.deltaKey);
-    n.sum1 = (p == nullptr ? 0 : p->sum1) +
-             smt::fnv1a64(n.deltaKey, smt::kDigestSeed2);
+    if (parent >= 0) {
+      const BaseNode& p = bases_[static_cast<size_t>(parent)];
+      n.depth = p.depth;
+      n.sum = p.sum;
+    }
+    ++n.depth;
+    n.sum += d;
     bases_.push_back(std::move(n));
     return static_cast<int>(bases_.size()) - 1;
   };
@@ -136,9 +151,12 @@ void QueryScheduler::plan() {
           for (size_t d = 0; d < q.pair->primedDims.size(); ++d)
             t.probes.push_back(
                 Constraint::eq(q.pair->primedDims[d], q.pair->otherDims[d]));
-        t.probeKeys.reserve(t.probes.size());
-        for (const auto& probe : t.probes)
-          t.probeKeys.push_back(fp.constraintKey(probe));
+        t.probeDigests.reserve(t.probes.size());
+        for (const auto& probe : t.probes) {
+          const smt::InternedConstraint* interned = nullptr;
+          t.probeDigests.push_back(keyOf(probe, interned));
+          if (interned != nullptr) t.key.probes.push_back(interned);
+        }
         tasks_.push_back(std::move(t));
         taskIndex = static_cast<int>(tasks_.size()) - 1;
         taskByPairKey.emplace(key, taskIndex);
@@ -156,91 +174,49 @@ void QueryScheduler::plan() {
   };
   dfs(model_.contexts.root());
 
-  // Content-addressed task keys for the persistent store: kind tag, the
-  // canonical (sorted) base-conjunction key, then the probe keys IN ORDER
-  // (the probe walk stops at the first Unsat, so order is semantic).
-  // Derived only when a store is attached — fault injection disables the
-  // store outright, since injected verdicts are not pure functions of the
-  // conjunction and must never be persisted.
-  if (opts_.store != nullptr && opts_.faultInject == nullptr) {
-    // Canonical (sorted, ';'-joined) base keys, derived INCREMENTALLY over
-    // the prefix tree: a node's key is its parent's key with the one new
-    // part spliced in at its sorted position — one O(|key|) copy per base
-    // instead of re-sorting ~depth constraint keys per base. Identical
-    // output to conjunctionKey(baseKeysOf(id)) by induction (inserting
-    // into a sorted join keeps it a sorted join).
-    std::map<int, std::string> keyMemo;
-    std::function<const std::string&(int)> baseKeyMemo =
-        [&](int id) -> const std::string& {
-      auto it = keyMemo.find(id);
-      if (it != keyMemo.end()) return it->second;
-      const BaseNode& n = bases_[static_cast<size_t>(id)];
-      std::string key;
-      if (n.parent < 0) {
-        key = n.deltaKey + ';';
-      } else {
-        const std::string& pk = baseKeyMemo(n.parent);
-        size_t pos = 0;
-        while (pos < pk.size()) {
-          const size_t end = pk.find(';', pos);
-          if (std::string_view(pk).substr(pos, end - pos) >= n.deltaKey) break;
-          pos = end + 1;
-        }
-        key.reserve(pk.size() + n.deltaKey.size() + 1);
-        key.append(pk, 0, pos);
-        key += n.deltaKey;
-        key += ';';
-        key.append(pk, pos, std::string::npos);
-      }
-      return keyMemo.emplace(id, std::move(key)).first->second;
-    };
-    // Mixes one word into an FNV state (collisions only cost a miss — the
-    // store verifies the full fingerprint on load).
-    auto mix = [](std::uint64_t h, std::uint64_t v) {
-      h ^= v;
-      return h * 0x100000001b3ULL;
-    };
-    // Absint hints change tier attribution (t1-absint) without changing
-    // the conjunction, and records store tiers — so runs with different
-    // hint sets must never share task records. Mix the facts digest into
-    // the fingerprint and both hash lanes; salt 0 (absint off) leaves the
-    // seed bytes and digests untouched.
-    const std::uint64_t salt = model_.hints.salt;
-    char saltTag[32] = {0};
-    if (salt != 0)
-      std::snprintf(saltTag, sizeof(saltTag), "absint:%016llx|",
-                    static_cast<unsigned long long>(salt));
-    for (auto& t : tasks_) {
-      const BaseNode& bn = bases_[static_cast<size_t>(t.baseId)];
-      const std::string& baseKey = baseKeyMemo(t.baseId);
-      const bool cons = t.kind == QueryTask::Kind::Consistency;
-      size_t len = 2 + baseKey.size();
-      for (const auto& pk : t.probeKeys) len += 1 + pk.size();
-      t.fingerprint.assign(cons ? "C|" : "P|");
-      t.fingerprint.reserve(len);
-      t.fingerprint += saltTag;
-      t.fingerprint += baseKey;
-      // File digest from the node's order-independent content sums plus
-      // the ordered probe keys — O(probes), never a walk of the multi-KB
-      // fingerprint (see QueryTask::digest).
-      std::uint64_t h0 = mix(smt::fnv1a64(cons ? "C" : "P"), bn.sum0);
-      std::uint64_t h1 =
-          mix(smt::fnv1a64(cons ? "C" : "P", smt::kDigestSeed2), bn.sum1);
-      h0 = mix(h0, bn.depth);
-      h1 = mix(h1, bn.depth);
-      if (salt != 0) {
-        h0 = mix(h0, salt);
-        h1 = mix(h1, salt);
-      }
-      for (const auto& pk : t.probeKeys) {
-        t.fingerprint += '|';
-        t.fingerprint += pk;
-        h0 = smt::fnv1a64(pk, mix(h0, pk.size()));
-        h1 = smt::fnv1a64(pk, mix(h1, pk.size()));
-      }
-      t.digest = smt::digestHex(h0, h1);
+  if (interner == nullptr) return;
+  // Each base's conjunction in canonical order, derived along the prefix
+  // tree: a node's list is its parent's with the delta's handle inserted at
+  // its canonical position — one O(depth) copy of handles per node, never
+  // a sort. Parents precede children in bases_.
+  std::vector<std::vector<const smt::InternedConstraint*>> canonical(
+      bases_.size());
+  for (size_t id = 0; id < bases_.size(); ++id) {
+    const BaseNode& n = bases_[id];
+    auto& out = canonical[id];
+    out.reserve(n.depth);
+    if (n.parent >= 0) {
+      const auto& in = canonical[static_cast<size_t>(n.parent)];
+      auto at = std::upper_bound(in.begin(), in.end(), n.deltaKey,
+                                 smt::canonicalLess);
+      out.assign(in.begin(), at);
+      out.push_back(n.deltaKey);
+      out.insert(out.end(), at, in.end());
+    } else {
+      out.push_back(n.deltaKey);
     }
   }
+  // A task's key folds its base's digest sum and depth with the kind, the
+  // absint salt (hints change tier attribution without changing the
+  // conjunction, and records store tiers) and the ordered probe digests —
+  // O(probes) per task.
+  for (auto& t : tasks_) {
+    const BaseNode& bn = bases_[static_cast<size_t>(t.baseId)];
+    t.key.kind = t.kind == QueryTask::Kind::Consistency
+                     ? smt::KeyKind::Consistency
+                     : smt::KeyKind::Pair;
+    t.key.salt = model_.hints.salt;
+    t.key.conjunction = canonical[static_cast<size_t>(t.baseId)];
+    t.key.digest = smt::keyDigest(t.key.kind, t.key.salt, bn.sum, bn.depth,
+                                  t.probeDigests);
+  }
+}
+
+std::vector<Constraint> QueryScheduler::baseConjunction(int baseId) const {
+  std::vector<Constraint> out;
+  for (int id = baseId; id >= 0; id = bases_[static_cast<size_t>(id)].parent)
+    out.push_back(bases_[static_cast<size_t>(id)].delta);
+  return out;
 }
 
 void QueryScheduler::switchBase(smt::Solver& solver, int& cur,
@@ -346,36 +322,34 @@ RegionVerdict QueryScheduler::replay(
   // stack fingerprint was already seen would have been a cache hit; the
   // first occurrence is attributed to the tier that decided it (a pure
   // function of the conjunction, so the breakdown is width-independent).
-  // A stack's canonical conjunction is base ∪ {probe}. Knowledge base
-  // constraints are all disequalities (key tag '!') and probes all
-  // equalities (tag '='); the only equality bases are absint invariants,
-  // which mention fresh `__ai_*` atoms that no question probe can contain.
-  // So no probe key can equal a base key and the pair (base
-  // content, probe key) identifies the sorted conjunction exactly —
-  // dedup on the pair instead of materializing the multi-KB joined key
-  // per check. Base content is identified by the node's 128-bit
-  // order-independent content sums + depth (BaseNode::sum0/sum1),
-  // accumulated in O(1) per node at plan time: equal conjunctions always
-  // map to equal triples, and a sum collision between distinct ones (odds
-  // ~2^-128) could only skew these diagnostic counters, never a verdict.
-  using BaseContent = std::tuple<std::uint64_t, std::uint64_t, size_t>;
+  // A stack's conjunction is base ∪ {probe}. Knowledge base constraints
+  // are all disequalities and probes all equalities; the only equality
+  // bases are absint invariants, which mention fresh `__ai_*` atoms that no
+  // question probe can contain. So no probe can equal a base constraint and
+  // the pair (base content, probe) identifies the conjunction. Base content
+  // is identified by the node's order-independent digest sum + depth and
+  // the probe by its digest, both derived at plan time: equal conjunctions
+  // always map to equal pairs, and a 128-bit collision between distinct
+  // ones could only skew these diagnostic counters, never a verdict.
+  using BaseContent = std::pair<smt::ContentDigest, size_t>;
   std::map<BaseContent, int> contentIds;
   auto baseContentId = [&](int baseId) {
     const BaseNode& n = bases_[static_cast<size_t>(baseId)];
     return contentIds
-        .emplace(BaseContent{n.sum0, n.sum1, n.depth},
+        .emplace(BaseContent{n.sum, n.depth},
                  static_cast<int>(contentIds.size()))
         .first->second;
   };
-  std::set<std::pair<int, std::string>> seenStacks;
+  std::set<std::pair<int, smt::ContentDigest>> seenStacks;
   auto accountChecks = [&](const QueryTask& task, const QueryResult& res) {
     const int base = baseContentId(task.baseId);
     for (int i = 0; i < res.checksPerformed; ++i) {
-      std::string probe = task.kind == QueryTask::Kind::Pair
-                              ? task.probeKeys[static_cast<size_t>(i)]
-                              : std::string();
+      const smt::ContentDigest probe =
+          task.kind == QueryTask::Kind::Pair
+              ? task.probeDigests[static_cast<size_t>(i)]
+              : smt::ContentDigest{};
       ++verdict.queries;
-      if (!seenStacks.emplace(base, std::move(probe)).second) {
+      if (!seenStacks.emplace(base, probe).second) {
         ++verdict.solverCacheHits;
         continue;
       }
@@ -508,7 +482,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   double replaySeconds = 0.0;
 
   // Incremental splice: serve whole task outcomes persisted by earlier
-  // runs for conjunctions whose fingerprints did not move. A spliced task
+  // runs for conjunctions whose keys did not move. A spliced task
   // is marked evaluated, so neither evaluation mode touches a solver for
   // it — the steady-state warm run does no solver work at all. Replay
   // consumes spliced and fresh results identically (both are pure
@@ -531,8 +505,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   };
   auto spliceTask = [&](size_t i) {
     if (store == nullptr) return;
-    auto rec = store->loadTask(tasks_[i].fingerprint, opts_.solverSteps,
-                               tasks_[i].digest);
+    auto rec = store->loadTask(tasks_[i].key, opts_.solverSteps);
     if (!rec) return;
     adoptRecord(i, std::move(*rec));
     spliced[i] = 1;
@@ -549,7 +522,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
   };
 
   // Single-flight evaluation of one fresh (non-spliced) task. With a store
-  // attached, the task fingerprint is claimed before any solver work: a
+  // attached, the task key is claimed before any solver work: a
   // conjunction another worker or session is computing right now is
   // *joined* (its published record adopted — accounted exactly like a
   // splice, since both are pure functions of conjunction + budget), and a
@@ -565,8 +538,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
       results[i] = evaluate(solver, atBase, tasks_[i]);
       return;
     }
-    auto flight = store->claimTask(tasks_[i].fingerprint, opts_.solverSteps,
-                                   tasks_[i].digest, cancel);
+    auto flight = store->claimTask(tasks_[i].key, opts_.solverSteps, cancel);
     if (flight.served) {
       adoptRecord(i, std::move(*flight.served));
       joinedCount.fetch_add(1, std::memory_order_relaxed);
@@ -579,7 +551,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     rec.tiers = results[i].tiers;
     rec.exhausted = results[i].exhausted;
     rec.steps = results[i].stepsUsed;
-    store->storeTask(tasks_[i].fingerprint, rec, tasks_[i].digest);
+    store->storeTask(tasks_[i].key, rec);
     persistedCount.fetch_add(1, std::memory_order_relaxed);
   };
 

@@ -45,6 +45,7 @@
 
 #include "formad/exploit.h"
 #include "formad/knowledge.h"
+#include "smt/fingerprint.h"
 
 namespace formad::support {
 class CancelToken;
@@ -69,22 +70,13 @@ struct QueryTask {
   /// one per dimension — stopping at the first Unsat (paper Sec. 3
   /// dimension rule).
   std::vector<smt::Constraint> probes;
-  /// Content fingerprint of each probe (smt/fingerprint.h), parallel to
-  /// `probes` — derived once at plan time and reused by replay accounting
-  /// and the persistent-store key.
-  std::vector<std::string> probeKeys;
-  /// Content-addressed key of the whole task for the persistent store:
-  /// kind tag + canonical base-conjunction key + ordered probe keys.
-  /// Empty when no store is attached (never derived).
-  std::string fingerprint;
-  /// Structural 32-hex file digest handed to the persistent store: kind
-  /// tag + the base node's order-independent content sums + the ordered
-  /// probe keys, mixed through FNV. A pure function of task content (never
-  /// of AtomIds or insertion order) that costs O(probes) to derive — the
-  /// multi-KB fingerprint is never re-walked to name a file. Digest
-  /// collisions only cost a miss: the store verifies the full fingerprint
-  /// on every load. Empty iff fingerprint is.
-  std::string digest;
+  /// Content digest of each probe (smt/fingerprint.h), parallel to
+  /// `probes` — derived once at plan time and used by replay accounting.
+  std::vector<smt::ContentDigest> probeDigests;
+  /// The task's key in the persistent store (kind, absint salt, base
+  /// conjunction, ordered probes), built from the store's interner at plan
+  /// time. Left empty when no store is attached.
+  smt::ContentKey key;
 };
 
 /// Outcome of evaluating one QueryTask.
@@ -117,6 +109,10 @@ class QueryScheduler {
 
   [[nodiscard]] const std::vector<QueryTask>& tasks() const { return tasks_; }
 
+  /// The constraints of task base `baseId` (leaf first) — what a task key
+  /// is derived from, for checking keys against a from-scratch derivation.
+  [[nodiscard]] std::vector<smt::Constraint> baseConjunction(int baseId) const;
+
   /// Evaluates the plan and replays the canonical schedule. `pool` may be
   /// null (serial). The returned verdict is bit-identical regardless of
   /// pool width; only analysisSeconds/planSeconds/taskSeconds/threadsUsed
@@ -135,16 +131,15 @@ class QueryScheduler {
   struct BaseNode {
     int parent = -1;
     smt::Constraint delta;
-    std::string deltaKey;  // content key of delta, derived once at plan
-    size_t depth = 0;      // constraints on the root-to-node path
-    /// Order-independent 128-bit content signature of the root-to-node
-    /// conjunction: the two seeded per-part FNV hashes SUMMED along the
-    /// path (a conjunction is a multiset, and wrapping sums commute), so
-    /// each node derives its signature from its parent in O(|delta|).
-    /// Replay uses (sum0, sum1, depth) to identify base content without
-    /// materializing canonical keys; the persistent-store file digest is
-    /// derived from it the same way.
-    std::uint64_t sum0 = 0, sum1 = 0;
+    /// Interned key of delta (store attached only; else null).
+    const smt::InternedConstraint* deltaKey = nullptr;
+    size_t depth = 0;  // constraints on the root-to-node path
+    /// Order-independent 128-bit digest of the root-to-node conjunction:
+    /// the per-constraint digests SUMMED along the path (a conjunction is a
+    /// multiset, and wrapping sums commute), so each node derives it from
+    /// its parent in O(1). Replay identifies base content by (sum, depth),
+    /// and task keys fold it into their digest.
+    smt::ContentDigest sum;
   };
 
   // One step of the canonical serial schedule (DFS pre-order).

@@ -1,6 +1,8 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace formad::parser {
 
@@ -99,13 +101,21 @@ std::vector<Token> tokenize(const std::string& source) {
       }
       Token t;
       t.loc = loc;
+      // A literal the target type cannot hold is a located diagnostic,
+      // never an exception escaping the parser.
+      const char* end = num.data() + num.size();
+      std::from_chars_result parsed{};
       if (isReal) {
         t.kind = TokKind::RealLit;
-        t.realValue = std::stod(num);
+        parsed = std::from_chars(num.data(), end, t.realValue);
       } else {
         t.kind = TokKind::IntLit;
-        t.intValue = std::stoll(num);
+        parsed = std::from_chars(num.data(), end, t.intValue);
       }
+      if (parsed.ec != std::errc() || parsed.ptr != end)
+        fail(std::string(isReal ? "real" : "integer") + " literal '" + num +
+                 "' is out of range",
+             loc);
       out.push_back(std::move(t));
       continue;
     }

@@ -16,7 +16,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kMagic = "formadvc 1";
+// Version 2: records are named by ContentKey digests and carry the
+// ContentKey canonical string. A version-1 file never matches the magic,
+// so an old directory is a clean miss.
+constexpr const char* kMagic = "formadvc 2";
+
+char recordKind(const ContentKey& key) {
+  return key.kind == KeyKind::Check ? 'c' : 't';
+}
 
 const char* verdictTag(CheckResult r) {
   switch (r) {
@@ -50,51 +57,49 @@ PersistentVerdictStore::PersistentVerdictStore(std::string dir,
     fail("cache directory '" + dir_ + "' cannot be created: " + ec.message());
 }
 
-PersistentVerdictStore::MemShard& PersistentVerdictStore::shardFor(
-    const std::string& key) {
-  return memShards_[fnv1a64(key) % kMemShards];
-}
-
-void PersistentVerdictStore::memoizeCheck(const std::string& key,
+void PersistentVerdictStore::memoizeCheck(const ContentKey& key,
                                           const VerdictCache::Entry& e) {
   MemShard& shard = shardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
-  auto [it, inserted] = shard.checks.emplace(key, e);
-  if (inserted) return;
+  auto [cur, inserted] = shard.checks.emplace(key, e);
   // Upgrade rule mirrors VerdictCache::store: a complete verdict beats an
   // exhausted one, and among exhausted ones the larger limit wins (it
   // serves every budget the smaller one could).
-  const VerdictCache::Entry& cur = it->second;
-  const bool upgrade = (e.complete && !cur.complete) ||
-                       (!e.complete && !cur.complete && e.steps > cur.steps);
-  if (upgrade) it->second = e;
+  if (!inserted && VerdictCache::upgrades(e, *cur)) *cur = e;
 }
 
-std::string PersistentVerdictStore::pathFor(
-    char kind, const std::string& key, const std::string* digest) const {
-  return dir_ + "/" + kind + (digest ? *digest : contentDigest(key)) + ".fvc";
+void PersistentVerdictStore::memoizeTask(const ContentKey& key,
+                                         const TaskRecord& rec) {
+  MemShard& shard = shardFor(key);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  auto [cur, inserted] = shard.tasks.emplace(key, rec);
+  if (!inserted) *cur = rec;
 }
 
-void PersistentVerdictStore::writeRecord(char kind, const std::string& key,
-                                         const std::string& payload,
-                                         const std::string* digestHint) {
+std::string PersistentVerdictStore::pathFor(const ContentKey& key) const {
+  return dir_ + "/" + recordKind(key) + key.digest.hex() + ".fvc";
+}
+
+void PersistentVerdictStore::writeRecord(const ContentKey& key,
+                                         const std::string& payload) {
   // Unique temp name: concurrent writers (threads or whole processes
   // sharing the directory) never collide, and the final rename is atomic —
   // readers see either no file or a complete one.
   const unsigned long long n =
       tmpCounter_.fetch_add(1, std::memory_order_relaxed);
-  const std::string digest = digestHint ? *digestHint : contentDigest(key);
+  const std::string digest = key.digest.hex();
   const std::string tmp =
       dir_ + "/.tmp-" + digest + "-" +
-      std::to_string(fnv1a64(digest) ^
+      std::to_string(key.digest.lo ^
                      reinterpret_cast<unsigned long long>(this)) +
       "-" + std::to_string(n);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return;  // best effort: an unwritable store is a slow one
-    out << kMagic << ' ' << kind << '\n'
-        << "key " << key.size() << '\n'
-        << key << '\n'
+    const std::string canonical = key.canonical();
+    out << kMagic << ' ' << recordKind(key) << '\n'
+        << "key " << canonical.size() << '\n'
+        << canonical << '\n'
         << payload << "ok\n";
     out.flush();
     if (!out) {
@@ -104,18 +109,19 @@ void PersistentVerdictStore::writeRecord(char kind, const std::string& key,
       return;
     }
   }
-  if (std::rename(tmp.c_str(), pathFor(kind, key, &digest).c_str()) != 0) {
+  if (std::rename(tmp.c_str(), pathFor(key).c_str()) != 0) {
     std::error_code ec;
     fs::remove(tmp, ec);
   }
 }
 
 std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
-    char kind, const std::string& key, const std::string* digest) const {
-  std::ifstream in(pathFor(kind, key, digest), std::ios::binary);
+    const ContentKey& key) const {
+  std::ifstream in(pathFor(key), std::ios::binary);
   if (!in) return std::nullopt;
   std::string line;
-  if (!std::getline(in, line) || line != std::string(kMagic) + ' ' + kind)
+  if (!std::getline(in, line) ||
+      line != std::string(kMagic) + ' ' + recordKind(key))
     return std::nullopt;
   if (!std::getline(in, line) || line.rfind("key ", 0) != 0)
     return std::nullopt;
@@ -126,10 +132,11 @@ std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
     return std::nullopt;
   }
   // Collision-proof verification: the digest in the file name only located
-  // a candidate; the verdict is served only if the FULL key matches.
+  // a candidate; the verdict is served only if the canonical key matches.
+  if (nbytes != key.canonicalSize()) return std::nullopt;
   std::string stored(nbytes, '\0');
   if (!in.read(stored.data(), static_cast<std::streamsize>(nbytes)) ||
-      stored != key || in.get() != '\n')
+      !key.matchesCanonical(stored) || in.get() != '\n')
     return std::nullopt;
   std::vector<std::string> payload;
   while (std::getline(in, line)) {
@@ -140,21 +147,19 @@ std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
 }
 
 std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheck(
-    const std::string& key, long long stepLimit) {
+    const ContentKey& key, long long stepLimit) {
   return loadCheckImpl(key, stepLimit, /*countMiss=*/true);
 }
 
 std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheckImpl(
-    const std::string& key, long long stepLimit, bool countMiss) {
+    const ContentKey& key, long long stepLimit, bool countMiss) {
   if (memoryLayer_) {
     MemShard& shard = shardFor(key);
     std::optional<VerdictCache::Entry> hit;
     {
       std::lock_guard<std::mutex> lk(shard.mu);
-      auto it = shard.checks.find(key);
-      if (it != shard.checks.end() &&
-          VerdictCache::sufficientFor(it->second, stepLimit))
-        hit = it->second;
+      const VerdictCache::Entry* e = shard.checks.find(key);
+      if (e != nullptr && VerdictCache::sufficientFor(*e, stepLimit)) hit = *e;
     }
     if (hit) {
       checkHits_.fetch_add(1, std::memory_order_relaxed);
@@ -169,7 +174,7 @@ std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheckImpl(
       return std::nullopt;
     }
   }
-  auto payload = readRecord('c', key, nullptr);
+  auto payload = readRecord(key);
   if (payload && payload->size() == 1) {
     std::istringstream is((*payload)[0]);
     std::string tag, verdict;
@@ -195,12 +200,12 @@ std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheckImpl(
   return std::nullopt;
 }
 
-void PersistentVerdictStore::storeCheck(const std::string& key,
+void PersistentVerdictStore::storeCheck(const ContentKey& key,
                                         const VerdictCache::Entry& e) {
   if (memoryLayer_) memoizeCheck(key, e);
   if (dir_.empty()) {
     checkStores_.fetch_add(1, std::memory_order_relaxed);
-    resolveFlight('c', key);
+    resolveFlight(key);
     return;
   }
   std::string payload = "verdict ";
@@ -210,11 +215,11 @@ void PersistentVerdictStore::storeCheck(const std::string& key,
   payload += e.complete ? " 1 " : " 0 ";
   payload += std::to_string(e.steps);
   payload += '\n';
-  writeRecord('c', key, payload, nullptr);
+  writeRecord(key, payload);
   checkStores_.fetch_add(1, std::memory_order_relaxed);
   // Publishing resolves any in-flight claim for this key: joiners wake and
   // re-probe the layers the lines above just populated.
-  resolveFlight('c', key);
+  resolveFlight(key);
 }
 
 namespace {
@@ -235,24 +240,20 @@ bool taskSufficientFor(const PersistentVerdictStore::TaskRecord& rec,
 }  // namespace
 
 std::optional<PersistentVerdictStore::TaskRecord>
-PersistentVerdictStore::loadTask(const std::string& key, long long stepLimit,
-                                 const std::string& digest) {
-  return loadTaskImpl(key, stepLimit, digest, /*countMiss=*/true);
+PersistentVerdictStore::loadTask(const ContentKey& key, long long stepLimit) {
+  return loadTaskImpl(key, stepLimit, /*countMiss=*/true);
 }
 
 std::optional<PersistentVerdictStore::TaskRecord>
-PersistentVerdictStore::loadTaskImpl(const std::string& key,
-                                     long long stepLimit,
-                                     const std::string& digest,
-                                     bool countMiss) {
+PersistentVerdictStore::loadTaskImpl(const ContentKey& key,
+                                     long long stepLimit, bool countMiss) {
   if (memoryLayer_) {
     MemShard& shard = shardFor(key);
     std::optional<TaskRecord> hit;
     {
       std::lock_guard<std::mutex> lk(shard.mu);
-      auto it = shard.tasks.find(key);
-      if (it != shard.tasks.end() && taskSufficientFor(it->second, stepLimit))
-        hit = it->second;
+      const TaskRecord* rec = shard.tasks.find(key);
+      if (rec != nullptr && taskSufficientFor(*rec, stepLimit)) hit = *rec;
     }
     if (hit) {
       taskHits_.fetch_add(1, std::memory_order_relaxed);
@@ -264,7 +265,7 @@ PersistentVerdictStore::loadTaskImpl(const std::string& key,
       return std::nullopt;
     }
   }
-  auto payload = readRecord('t', key, &digest);
+  auto payload = readRecord(key);
   if (payload && !payload->empty()) {
     std::istringstream head((*payload)[0]);
     std::string tag;
@@ -297,11 +298,7 @@ PersistentVerdictStore::loadTaskImpl(const std::string& key,
         rec.steps.push_back(steps);
       }
       if (good) {
-        if (memoryLayer_) {
-          MemShard& shard = shardFor(key);
-          std::lock_guard<std::mutex> lk(shard.mu);
-          shard.tasks[key] = rec;
-        }
+        if (memoryLayer_) memoizeTask(key, rec);
         taskHits_.fetch_add(1, std::memory_order_relaxed);
         return rec;
       }
@@ -311,17 +308,12 @@ PersistentVerdictStore::loadTaskImpl(const std::string& key,
   return std::nullopt;
 }
 
-void PersistentVerdictStore::storeTask(const std::string& key,
-                                       const TaskRecord& rec,
-                                       const std::string& digest) {
-  if (memoryLayer_) {
-    MemShard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lk(shard.mu);
-    shard.tasks[key] = rec;
-  }
+void PersistentVerdictStore::storeTask(const ContentKey& key,
+                                       const TaskRecord& rec) {
+  if (memoryLayer_) memoizeTask(key, rec);
   if (dir_.empty()) {
     taskStores_.fetch_add(1, std::memory_order_relaxed);
-    resolveFlight('t', key);
+    resolveFlight(key);
     return;
   }
   std::string payload = "task ";
@@ -336,50 +328,33 @@ void PersistentVerdictStore::storeTask(const std::string& key,
     payload += std::to_string(rec.steps[i]);
     payload += '\n';
   }
-  writeRecord('t', key, payload, &digest);
+  writeRecord(key, payload);
   taskStores_.fetch_add(1, std::memory_order_relaxed);
-  resolveFlight('t', key);
+  resolveFlight(key);
 }
 
-PersistentVerdictStore::FlightShard& PersistentVerdictStore::flightShardFor(
-    const std::string& key) {
-  return flightShards_[fnv1a64(key) % kMemShards];
-}
-
-namespace {
-std::string flightKey(char kind, const std::string& key) {
-  std::string k(1, kind);
-  k += '|';
-  k += key;
-  return k;
-}
-}  // namespace
-
-void PersistentVerdictStore::resolveFlight(char kind, const std::string& key) {
+void PersistentVerdictStore::resolveFlight(const ContentKey& key) {
   FlightShard& fs = flightShardFor(key);
   bool erased = false;
   {
     std::lock_guard<std::mutex> lk(fs.mu);
-    erased = fs.inflight.erase(flightKey(kind, key)) > 0;
+    erased = fs.inflight.erase(key);
   }
   if (erased) fs.cv.notify_all();
 }
 
-void PersistentVerdictStore::releaseFlight(char kind, const std::string& key,
+void PersistentVerdictStore::releaseFlight(const ContentKey& key,
                                            unsigned long long token,
                                            bool countUnclaim) {
   FlightShard& fs = flightShardFor(key);
   bool erased = false;
   {
     std::lock_guard<std::mutex> lk(fs.mu);
-    auto it = fs.inflight.find(flightKey(kind, key));
+    const unsigned long long* held = fs.inflight.find(key);
     // Token check: if the publish already resolved this entry (and perhaps
     // a new claimant re-registered the key), a stale handle must not erase
     // the newcomer's claim.
-    if (it != fs.inflight.end() && it->second == token) {
-      fs.inflight.erase(it);
-      erased = true;
-    }
+    if (held != nullptr && *held == token) erased = fs.inflight.erase(key);
   }
   if (erased) {
     if (countUnclaim)
@@ -389,18 +364,15 @@ void PersistentVerdictStore::releaseFlight(char kind, const std::string& key,
 }
 
 std::optional<FlightClaim> PersistentVerdictStore::awaitOrClaim(
-    char kind, const std::string& key, bool& waited,
-    const support::CancelToken* cancel) {
+    const ContentKey& key, bool& waited, const support::CancelToken* cancel) {
   FlightShard& fs = flightShardFor(key);
-  const std::string fkey = flightKey(kind, key);
   std::unique_lock<std::mutex> lk(fs.mu);
-  auto it = fs.inflight.find(fkey);
-  if (it == fs.inflight.end()) {
+  if (fs.inflight.find(key) == nullptr) {
     const unsigned long long token =
         claimToken_.fetch_add(1, std::memory_order_relaxed);
-    fs.inflight.emplace(fkey, token);
+    fs.inflight.emplace(key, token);
     flightClaims_.fetch_add(1, std::memory_order_relaxed);
-    return FlightClaim(this, kind, key, token);
+    return FlightClaim(this, key, token);
   }
   waited = true;
   // Bounded wait, then let the caller re-probe: the condvar wakeup is an
@@ -413,7 +385,7 @@ std::optional<FlightClaim> PersistentVerdictStore::awaitOrClaim(
 }
 
 PersistentVerdictStore::CheckClaim PersistentVerdictStore::claimCheck(
-    const std::string& key, long long stepLimit,
+    const ContentKey& key, long long stepLimit,
     const support::CancelToken* cancel) {
   // Probe misses inside the claim loop are never counted — the caller's
   // original lookup already counted the one real miss; hits (including
@@ -421,7 +393,7 @@ PersistentVerdictStore::CheckClaim PersistentVerdictStore::claimCheck(
   CheckClaim out;
   bool waited = false;
   for (;;) {
-    if (auto claim = awaitOrClaim('c', key, waited, cancel)) {
+    if (auto claim = awaitOrClaim(key, waited, cancel)) {
       // Ownership verification probe. A publish fully completes (memoize,
       // then resolve) before its registry entry disappears, so if another
       // owner published before we could register, the layers already hold
@@ -429,7 +401,7 @@ PersistentVerdictStore::CheckClaim PersistentVerdictStore::claimCheck(
       // lookup-miss → publish → claim race deterministically: duplicate
       // fresh evaluations cannot happen, not just rarely happen.
       if (auto e = loadCheckImpl(key, stepLimit, /*countMiss=*/false)) {
-        releaseFlight('c', key, claim->token_, /*countUnclaim=*/false);
+        releaseFlight(key, claim->token_, /*countUnclaim=*/false);
         claim->store_ = nullptr;  // disarm: registration already dropped
         if (waited) flightJoins_.fetch_add(1, std::memory_order_relaxed);
         out.served = *e;
@@ -448,15 +420,14 @@ PersistentVerdictStore::CheckClaim PersistentVerdictStore::claimCheck(
 }
 
 PersistentVerdictStore::TaskClaim PersistentVerdictStore::claimTask(
-    const std::string& key, long long stepLimit, const std::string& digest,
+    const ContentKey& key, long long stepLimit,
     const support::CancelToken* cancel) {
   TaskClaim out;
   bool waited = false;
   for (;;) {
-    if (auto claim = awaitOrClaim('t', key, waited, cancel)) {
-      if (auto rec =
-              loadTaskImpl(key, stepLimit, digest, /*countMiss=*/false)) {
-        releaseFlight('t', key, claim->token_, /*countUnclaim=*/false);
+    if (auto claim = awaitOrClaim(key, waited, cancel)) {
+      if (auto rec = loadTaskImpl(key, stepLimit, /*countMiss=*/false)) {
+        releaseFlight(key, claim->token_, /*countUnclaim=*/false);
         claim->store_ = nullptr;  // disarm: registration already dropped
         if (waited) flightJoins_.fetch_add(1, std::memory_order_relaxed);
         out.served = std::move(*rec);
@@ -465,7 +436,7 @@ PersistentVerdictStore::TaskClaim PersistentVerdictStore::claimTask(
       out.claim = std::move(*claim);
       return out;
     }
-    if (auto rec = loadTaskImpl(key, stepLimit, digest, /*countMiss=*/false)) {
+    if (auto rec = loadTaskImpl(key, stepLimit, /*countMiss=*/false)) {
       flightJoins_.fetch_add(1, std::memory_order_relaxed);
       out.served = std::move(*rec);
       return out;
@@ -477,7 +448,7 @@ void FlightClaim::release() {
   if (store_ == nullptr) return;
   PersistentVerdictStore* s = store_;
   store_ = nullptr;
-  s->releaseFlight(kind_, key_, token_);
+  s->releaseFlight(key_, token_);
 }
 
 PersistentVerdictStore::Stats PersistentVerdictStore::stats() const {

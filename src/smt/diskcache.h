@@ -1,24 +1,25 @@
 // Disk-backed content-addressed verdict store (the `-cache-dir` layer).
 //
-// Persists two record kinds across runs, both keyed by canonical CONTENT
-// fingerprints (smt/fingerprint.h) so any process that builds the same
-// logical conjunction — regardless of atom interning order — addresses the
-// same entry:
+// Persists two record kinds across runs, both keyed by smt::ContentKey
+// (smt/fingerprint.h) so any process that builds the same logical
+// conjunction — regardless of atom interning order — addresses the same
+// entry:
 //
 //   - check records: one solver verdict per conjunction fingerprint, the
 //     durable twin of a VerdictCache::Entry (verdict, decision tier, and
 //     the PR 5 budget provenance). VerdictCache consults the store on a
 //     memory miss and writes through on store().
 //   - task records: the outcome of one scheduler QueryTask (consistency
-//     probe or pair-probe sequence), keyed by base-conjunction fingerprint
-//     plus the ordered probe keys. The scheduler splices these into its
+//     probe or pair-probe sequence), keyed by the base conjunction plus the
+//     ordered probes. The scheduler splices these into its
 //     result table before evaluation, so a warm run of an unchanged
 //     context performs ZERO solver checks — not even cache-hit ones.
 //
 // Durability contract:
-//   - every file carries its FULL key and is verified byte-for-byte on
-//     load; the 128-bit digest in the file name only locates candidates,
-//     so a digest collision costs a miss, never a wrong verdict;
+//   - every file is named by its key's 128-bit digest and carries the
+//     key's canonical string (ContentKey::canonical), rendered on write and
+//     verified byte-for-byte on load; the name only locates candidates, so
+//     a digest collision costs a miss, never a wrong verdict;
 //   - files end with an `ok` terminator; corrupt or truncated files (torn
 //     writes, disk faults, concurrent writers on non-POSIX filesystems)
 //     fall through to recompute — loads NEVER throw;
@@ -37,7 +38,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/singleflight.h"
@@ -51,6 +51,11 @@ namespace formad::smt {
 
 /// Thread-safe persistent verdict store over one directory. Safe to share
 /// between all solvers/schedulers of a run and between concurrent runs.
+///
+/// Keys: the store owns the ConstraintInterner every key handed to it must
+/// be built from (VerdictCache and the scheduler intern through
+/// interner()), so identities compare by handle across all the solvers,
+/// schedulers and sessions sharing the store.
 ///
 /// Memory layer (the serving daemon's shared hot cache): with
 /// `memoryLayer` enabled, every record loaded from or written to disk is
@@ -81,29 +86,23 @@ class PersistentVerdictStore {
     std::vector<long long> steps;  // complete: steps used; else limit hit
   };
 
-  /// Loads the check verdict persisted under `key`, or nullopt when absent,
-  /// corrupt, keyed differently (digest collision), or recorded under a
-  /// budget insufficient for `stepLimit`.
-  [[nodiscard]] std::optional<VerdictCache::Entry> loadCheck(
-      const std::string& key, long long stepLimit);
-  void storeCheck(const std::string& key, const VerdictCache::Entry& e);
+  /// The interner every key passed to this store must be built from.
+  [[nodiscard]] ConstraintInterner& interner() { return interner_; }
 
-  /// Loads the task record persisted under `key`; same guard as loadCheck,
-  /// applied to EVERY recorded check (the replayed probe walk matches what
-  /// re-derivation under `stepLimit` would produce only if each recorded
-  /// verdict does). `digest` names the file: the caller supplies any
-  /// 32-hex digest that is a pure function of task content and uses the
-  /// same derivation for store and load (the scheduler accumulates its
-  /// structural digest in O(1) along the base prefix tree — see
-  /// QueryTask::digest — so the multi-KB key is never re-walked here).
-  /// Correctness never depends on the naming scheme: the full key is
-  /// verified byte-for-byte on every load, so a digest collision costs a
-  /// miss, never a wrong verdict.
-  [[nodiscard]] std::optional<TaskRecord> loadTask(const std::string& key,
-                                                   long long stepLimit,
-                                                   const std::string& digest);
-  void storeTask(const std::string& key, const TaskRecord& rec,
-                 const std::string& digest);
+  /// Loads the check verdict persisted under `key` (a KeyKind::Check key),
+  /// or nullopt when absent, corrupt, keyed differently (digest
+  /// collision), or recorded under a budget insufficient for `stepLimit`.
+  [[nodiscard]] std::optional<VerdictCache::Entry> loadCheck(
+      const ContentKey& key, long long stepLimit);
+  void storeCheck(const ContentKey& key, const VerdictCache::Entry& e);
+
+  /// Loads the task record persisted under `key` (a Consistency or Pair
+  /// key); same guard as loadCheck, applied to EVERY recorded check (the
+  /// replayed probe walk matches what re-derivation under `stepLimit`
+  /// would produce only if each recorded verdict does).
+  [[nodiscard]] std::optional<TaskRecord> loadTask(const ContentKey& key,
+                                                   long long stepLimit);
+  void storeTask(const ContentKey& key, const TaskRecord& rec);
 
   // Single-flight in-flight registry (duplicate-proof suppression).
   //
@@ -129,7 +128,7 @@ class PersistentVerdictStore {
     std::optional<VerdictCache::Entry> served;  // set: result is available
     FlightClaim claim;  // owned() set: caller computes, then storeCheck()s
   };
-  [[nodiscard]] CheckClaim claimCheck(const std::string& key,
+  [[nodiscard]] CheckClaim claimCheck(const ContentKey& key,
                                       long long stepLimit,
                                       const support::CancelToken* cancel);
 
@@ -137,9 +136,7 @@ class PersistentVerdictStore {
     std::optional<TaskRecord> served;
     FlightClaim claim;
   };
-  [[nodiscard]] TaskClaim claimTask(const std::string& key,
-                                    long long stepLimit,
-                                    const std::string& digest,
+  [[nodiscard]] TaskClaim claimTask(const ContentKey& key, long long stepLimit,
                                     const support::CancelToken* cancel);
 
   /// Monotone IO counters (relaxed atomics; snapshot semantics only).
@@ -174,49 +171,48 @@ class PersistentVerdictStore {
   /// loop re-probes on every wakeup, so its probes must not count misses —
   /// the caller's original lookup already counted the one real miss.
   [[nodiscard]] std::optional<VerdictCache::Entry> loadCheckImpl(
-      const std::string& key, long long stepLimit, bool countMiss);
-  [[nodiscard]] std::optional<TaskRecord> loadTaskImpl(
-      const std::string& key, long long stepLimit, const std::string& digest,
-      bool countMiss);
+      const ContentKey& key, long long stepLimit, bool countMiss);
+  [[nodiscard]] std::optional<TaskRecord> loadTaskImpl(const ContentKey& key,
+                                                       long long stepLimit,
+                                                       bool countMiss);
 
   // In-flight registry: sharded (mutex, condvar, map of resolved-by-token
-  // entries) keyed by kind + content key. resolveFlight is called by every
-  // store (publish resolves); releaseFlight by FlightClaim (unclaim), which
-  // erases only if the token still matches — a later claimant's fresh entry
-  // is never clobbered by a stale handle.
+  // entries) keyed by content key (its kind tag keeps checks and tasks
+  // apart). resolveFlight is called by every store (publish resolves);
+  // releaseFlight by FlightClaim (unclaim), which erases only if the token
+  // still matches — a later claimant's fresh entry is never clobbered by a
+  // stale handle.
   struct FlightShard {
     std::mutex mu;
     std::condition_variable cv;
-    std::unordered_map<std::string, unsigned long long> inflight;
+    ContentMap<unsigned long long> inflight;
   };
-  [[nodiscard]] FlightShard& flightShardFor(const std::string& key);
-  void resolveFlight(char kind, const std::string& key);
+  [[nodiscard]] FlightShard& flightShardFor(const ContentKey& key) {
+    return flightShards_[key.digest.hi % kMemShards];
+  }
+  void resolveFlight(const ContentKey& key);
   /// `countUnclaim` is false only for the claim loops' verification-probe
   /// release (registered, then found the result already published): nothing
   /// was abandoned mid-compute, so it is not an unclaim for the counters.
-  void releaseFlight(char kind, const std::string& key,
-                     unsigned long long token, bool countUnclaim = true);
+  void releaseFlight(const ContentKey& key, unsigned long long token,
+                     bool countUnclaim = true);
   /// The claim loop body shared by claimCheck/claimTask: returns an owned
   /// claim once the key is free, or nullopt after a wakeup (caller
   /// re-probes). Throws support::Cancelled when `cancel` fires.
   [[nodiscard]] std::optional<FlightClaim> awaitOrClaim(
-      char kind, const std::string& key, bool& waited,
-      const support::CancelToken* cancel);
+      const ContentKey& key, bool& waited, const support::CancelToken* cancel);
 
-  /// `digest` in these three: the file-naming digest — caller-supplied for
-  /// task records, contentDigest(key) (passed by loadCheck/storeCheck) for
-  /// check records.
-  [[nodiscard]] std::string pathFor(char kind, const std::string& key,
-                                    const std::string* digest) const;
-  /// Writes `payload` atomically to the final path for (kind, key).
-  void writeRecord(char kind, const std::string& key,
-                   const std::string& payload, const std::string* digest);
-  /// Reads + verifies the record file for (kind, key); returns the payload
-  /// lines between the verified key and the `ok` terminator, or nullopt.
+  /// Record file of `key`: `c` (checks) or `t` (tasks) + the digest's hex.
+  [[nodiscard]] std::string pathFor(const ContentKey& key) const;
+  /// Writes `payload` atomically to the record file of `key`.
+  void writeRecord(const ContentKey& key, const std::string& payload);
+  /// Reads + verifies the record file of `key`; returns the payload lines
+  /// between the verified canonical key and the `ok` terminator, or
+  /// nullopt.
   [[nodiscard]] std::optional<std::vector<std::string>> readRecord(
-      char kind, const std::string& key, const std::string* digest) const;
+      const ContentKey& key) const;
 
-  // Memory layer: sharded maps keyed by the full content key. Positive
+  // Memory layer: sharded maps keyed by content key. Positive
   // records only — a miss is never memoized, so a record another process
   // writes to the shared directory later is still found. Check entries
   // keep the upgrade rule of VerdictCache::store (complete beats
@@ -226,13 +222,18 @@ class PersistentVerdictStore {
   static constexpr size_t kMemShards = 16;
   struct MemShard {
     std::mutex mu;
-    std::unordered_map<std::string, VerdictCache::Entry> checks;
-    std::unordered_map<std::string, TaskRecord> tasks;
+    ContentMap<VerdictCache::Entry> checks;
+    ContentMap<TaskRecord> tasks;
   };
-  [[nodiscard]] MemShard& shardFor(const std::string& key);
+  [[nodiscard]] MemShard& shardFor(const ContentKey& key) {
+    return memShards_[key.digest.hi % kMemShards];
+  }
   /// Memoizes a check entry, keeping the stronger of old and new.
-  void memoizeCheck(const std::string& key, const VerdictCache::Entry& e);
+  void memoizeCheck(const ContentKey& key, const VerdictCache::Entry& e);
+  /// Memoizes a task record (last write wins).
+  void memoizeTask(const ContentKey& key, const TaskRecord& rec);
 
+  ConstraintInterner interner_;
   std::string dir_;
   bool memoryLayer_ = false;
   std::array<MemShard, kMemShards> memShards_;

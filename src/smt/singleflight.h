@@ -1,7 +1,7 @@
 // RAII handle for one single-flight claim in a PersistentVerdictStore.
 //
-// A claim marks one content fingerprint (a solver check or a scheduler
-// task) as "being computed right now" so concurrent duplicates block and
+// A claim marks one content key (a solver check or a scheduler task) as
+// "being computed right now" so concurrent duplicates block and
 // join the winner's published result instead of re-paying the SMT bill.
 // Kept in its own header so both smt/solver.h (which hands claims out via
 // VerdictCache) and smt/diskcache.h (which implements the registry) can
@@ -19,8 +19,9 @@
 //     poison a result — failure costs a recompute, nothing more.
 #pragma once
 
-#include <string>
 #include <utility>
+
+#include "smt/fingerprint.h"
 
 namespace formad::smt {
 
@@ -30,15 +31,13 @@ class FlightClaim {
  public:
   FlightClaim() = default;
   FlightClaim(FlightClaim&& o) noexcept
-      : store_(o.store_), kind_(o.kind_), key_(std::move(o.key_)),
-        token_(o.token_) {
+      : store_(o.store_), key_(std::move(o.key_)), token_(o.token_) {
     o.store_ = nullptr;
   }
   FlightClaim& operator=(FlightClaim&& o) noexcept {
     if (this != &o) {
       release();
       store_ = o.store_;
-      kind_ = o.kind_;
       key_ = std::move(o.key_);
       token_ = o.token_;
       o.store_ = nullptr;
@@ -60,13 +59,12 @@ class FlightClaim {
 
  private:
   friend class PersistentVerdictStore;
-  FlightClaim(PersistentVerdictStore* store, char kind, std::string key,
+  FlightClaim(PersistentVerdictStore* store, ContentKey key,
               unsigned long long token)
-      : store_(store), kind_(kind), key_(std::move(key)), token_(token) {}
+      : store_(store), key_(std::move(key)), token_(token) {}
 
   PersistentVerdictStore* store_ = nullptr;
-  char kind_ = 'c';
-  std::string key_;
+  ContentKey key_;
   unsigned long long token_ = 0;
 };
 

@@ -22,15 +22,6 @@ std::string to_string(CheckResult r) {
 
 namespace {
 
-/// Shared upgrade policy: true when `e` covers strictly more budgets than
-/// `cur` (a complete verdict over an exhausted one, or an exhaustion at a
-/// larger limit). Serving is guarded by sufficientFor, so this policy only
-/// affects hit rates, never verdicts.
-bool upgrades(const VerdictCache::Entry& e, const VerdictCache::Entry& cur) {
-  return (e.complete && !cur.complete) ||
-         (!e.complete && !cur.complete && e.steps > cur.steps);
-}
-
 void bumpTier(std::array<std::atomic<long long>, 3>& tiers, int tier) {
   if (tier >= 0 && tier < 3)
     tiers[static_cast<size_t>(tier)].fetch_add(1, std::memory_order_relaxed);
@@ -38,16 +29,30 @@ void bumpTier(std::array<std::atomic<long long>, 3>& tiers, int tier) {
 
 }  // namespace
 
+ConstraintInterner& VerdictCache::interner() {
+  return store_ != nullptr ? store_->interner() : interner_;
+}
+
+bool VerdictCache::memoize(const ContentKey& key, const Entry& e) {
+  Shard& s = shardFor(key);
+  std::lock_guard<std::mutex> lk(s.mu);
+  auto [cur, inserted] = s.map.emplace(key, e);
+  if (inserted) return true;
+  if (!upgrades(e, *cur)) return false;
+  *cur = e;
+  return true;
+}
+
 std::optional<VerdictCache::Entry> VerdictCache::lookup(
-    const std::string& key, long long stepLimit) {
+    const ContentKey& key, long long stepLimit) {
   {
     Shard& s = shardFor(key);
     std::lock_guard<std::mutex> lk(s.mu);
-    auto it = s.map.find(key);
-    if (it != s.map.end() && sufficientFor(it->second, stepLimit)) {
+    const Entry* e = s.map.find(key);
+    if (e != nullptr && sufficientFor(*e, stepLimit)) {
       memoryHits_.fetch_add(1, std::memory_order_relaxed);
-      bumpTier(memoryHitTiers_, it->second.tier);
-      return it->second;
+      bumpTier(memoryHitTiers_, e->tier);
+      return *e;
     }
   }
   // Memory miss: consult the persistent store (IO outside the shard lock;
@@ -57,10 +62,7 @@ std::optional<VerdictCache::Entry> VerdictCache::lookup(
     if (auto e = store_->loadCheck(key, stepLimit)) {
       diskHits_.fetch_add(1, std::memory_order_relaxed);
       bumpTier(diskHitTiers_, e->tier);
-      Shard& s = shardFor(key);
-      std::lock_guard<std::mutex> lk(s.mu);
-      auto [it, inserted] = s.map.emplace(key, *e);
-      if (!inserted && upgrades(*e, it->second)) it->second = *e;
+      memoize(key, *e);
       return e;
     }
   }
@@ -68,30 +70,20 @@ std::optional<VerdictCache::Entry> VerdictCache::lookup(
   return std::nullopt;
 }
 
-void VerdictCache::store(const std::string& key, CheckResult r, int tier,
+void VerdictCache::store(const ContentKey& key, CheckResult r, int tier,
                          bool complete, long long steps) {
   stores_.fetch_add(1, std::memory_order_relaxed);
   const Entry e{r, tier, complete, steps};
-  bool fresh = false;
-  {
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto [it, inserted] = s.map.emplace(key, e);
-    fresh = inserted;
-    if (!inserted && upgrades(e, it->second)) {
-      it->second = e;
-      fresh = true;
-    }
-  }
-  // Write-through outside the lock; only new/upgraded entries hit the disk.
-  if (fresh && store_ != nullptr) {
+  // Write-through outside the shard lock; only new/upgraded entries hit
+  // the disk.
+  if (memoize(key, e) && store_ != nullptr) {
     store_->storeCheck(key, e);
     diskStores_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 VerdictCache::CheckFlight VerdictCache::claimCheck(
-    const std::string& key, long long stepLimit,
+    const ContentKey& key, long long stepLimit,
     const support::CancelToken* cancel) {
   CheckFlight out;
   if (store_ == nullptr) return out;  // inert: caller computes, no claim
@@ -101,11 +93,7 @@ VerdictCache::CheckFlight VerdictCache::claimCheck(
     // like a disk hit in lookup(), so hit-rate diagnostics stay comparable.
     diskHits_.fetch_add(1, std::memory_order_relaxed);
     bumpTier(diskHitTiers_, res.served->tier);
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto [it, inserted] = s.map.emplace(key, *res.served);
-    if (!inserted && upgrades(*res.served, it->second))
-      it->second = *res.served;
+    memoize(key, *res.served);
     out.served = *res.served;
     return out;
   }
@@ -142,19 +130,33 @@ void VerdictCache::bind(const AtomTable* atoms) {
     atoms_ = atoms;
     return;
   }
+  // Keys are content-based, so this is not a soundness guard: it catches
+  // two analyses wired to one cache, whose hit counters and verdict
+  // diagnostics would then silently mix.
   if (atoms_ != atoms)
-    fail("VerdictCache shared across distinct AtomTables: cache keys embed "
-         "AtomIds, which are only meaningful relative to one table");
+    fail("VerdictCache shared across distinct AtomTables: one cache serves "
+         "exactly one analysis");
 }
 
 void Solver::attachCache(VerdictCache* cache) {
   if (cache != nullptr) cache->bind(&atoms_);
   sharedCache_ = cache;
+  ConstraintInterner* next =
+      cache != nullptr ? &cache->interner() : &localInterner_;
+  if (next == interner_) return;
+  interner_ = next;
+  // Identities compare by handle, so a live stack moves to the new
+  // interner (digests are content functions and do not change).
+  for (auto& k : interned_) k = interner_->intern(k->key);
+  canonical_ = interned_;
+  std::sort(canonical_.begin(), canonical_.end(), canonicalLess);
 }
 
 void Solver::reset() {
   stack_.clear();
-  keys_.clear();
+  interned_.clear();
+  canonical_.clear();
+  sum_ = {};
   marks_.clear();
   owner_ = std::thread::id{};
 }
@@ -172,7 +174,12 @@ void Solver::requireOwner() {
 
 void Solver::add(Constraint c) {
   requireOwner();
-  keys_.push_back(fp_.constraintKey(c));
+  const InternedConstraint* k = interner_->intern(fp_.constraintKey(c));
+  interned_.push_back(k);
+  canonical_.insert(
+      std::upper_bound(canonical_.begin(), canonical_.end(), k, canonicalLess),
+      k);
+  sum_ += k->digest;
   stack_.push_back(std::move(c));
   ++stats_.assertionsAdded;
 }
@@ -187,31 +194,28 @@ void Solver::pop() {
   if (marks_.empty())
     fail("Solver::pop without matching push (assertion stack has " +
          std::to_string(stack_.size()) + " assertions and no open scope)");
-  stack_.resize(marks_.back());
-  keys_.resize(marks_.back());
+  const size_t mark = marks_.back();
+  while (interned_.size() > mark) {
+    const InternedConstraint* k = interned_.back();
+    // Equal keys share one handle, so the lower bound is an occurrence of k.
+    canonical_.erase(std::lower_bound(canonical_.begin(), canonical_.end(),
+                                      k, canonicalLess));
+    sum_ -= k->digest;
+    interned_.pop_back();
+  }
+  stack_.resize(mark);
   marks_.pop_back();
 }
 
-std::string Solver::stackKey() const {
-  // A conjunction is order-independent; sorting makes stacks that assert
-  // the same constraints in different orders share a cache entry. The
-  // per-constraint keys were derived once at add() time.
-  std::vector<std::string> parts = keys_;
-  std::sort(parts.begin(), parts.end());
-  std::string key;
-  if (hints_ != nullptr && hints_->salt != 0) {
-    // Verdicts carry the decision tier, and the available deciders differ
-    // under -absint — prefixing the fact-bundle salt keeps the two key
-    // spaces (and hence every in-memory and on-disk cache) disjoint.
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "absint:%016llx;",
-                  static_cast<unsigned long long>(hints_->salt));
-    key += buf;
-  }
-  for (const auto& p : parts) {
-    key += p;
-    key += ';';
-  }
+ContentKey Solver::contentKey() const {
+  ContentKey key;
+  key.kind = KeyKind::Check;
+  // Verdicts carry the decision tier, and the available deciders differ
+  // under -absint — the fact-bundle salt keeps the two key spaces (and
+  // hence every in-memory and on-disk cache) disjoint.
+  key.salt = hints_ != nullptr ? hints_->salt : 0;
+  key.digest = keyDigest(key.kind, key.salt, sum_, canonical_.size(), {});
+  key.conjunction = canonical_;
   return key;
 }
 
@@ -233,7 +237,7 @@ CheckResult Solver::check() {
       return CheckResult::Unknown;
     }
   }
-  std::string key = stackKey();
+  ContentKey key = contentKey();
   if (sharedCache_ != nullptr) {
     if (auto cached = sharedCache_->lookup(key, stepLimit_)) {
       ++stats_.cacheHits;
@@ -269,28 +273,25 @@ CheckResult Solver::check() {
                         lastBudgetExhausted_ ? stepLimit_ : lastSteps_);
     return r;
   }
-  auto it = verdictCache_.find(key);
-  if (it != verdictCache_.end() &&
-      VerdictCache::sufficientFor(it->second, stepLimit_)) {
+  VerdictCache::Entry* cached = verdictCache_.find(key);
+  if (cached != nullptr &&
+      VerdictCache::sufficientFor(*cached, stepLimit_)) {
     ++stats_.cacheHits;
-    lastTier_ = it->second.tier;
-    lastSteps_ = it->second.steps;
-    if (!it->second.complete) {
+    lastTier_ = cached->tier;
+    lastSteps_ = cached->steps;
+    if (!cached->complete) {
       lastBudgetExhausted_ = true;
       ++stats_.budgetExhausted;
     }
-    return it->second.result;
+    return cached->result;
   }
   CheckResult r = decide();
   VerdictCache::Entry e{r, lastTier_, !lastBudgetExhausted_,
                         lastBudgetExhausted_ ? stepLimit_ : lastSteps_};
-  if (it != verdictCache_.end()) {
+  if (cached != nullptr) {
     // Insufficient entry found above: upgrade under the same policy as
-    // VerdictCache::store (complete beats exhausted; a larger exhaustion
-    // limit beats a smaller one).
-    if ((e.complete && !it->second.complete) ||
-        (!e.complete && !it->second.complete && e.steps > it->second.steps))
-      it->second = e;
+    // VerdictCache::store.
+    if (VerdictCache::upgrades(e, *cached)) *cached = e;
   } else {
     verdictCache_.emplace(std::move(key), e);
   }

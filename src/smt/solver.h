@@ -88,17 +88,17 @@ struct FaultInject {
 };
 
 /// A sharded, thread-safe verdict cache shared by the per-worker solvers of
-/// one parallel analysis. Keys are canonical assertion-stack fingerprints
-/// (Solver::stackKey), which cover the ENTIRE live stack — including
-/// assertions inside open push/pop scopes — so a verdict recorded under one
-/// scope can never be served for a different one. Keys are CONTENT-based
-/// (smt/fingerprint.h): two runs that build the same logical conjunction
-/// derive the same key no matter how their atom tables are laid out, which
-/// is what makes the optional disk layer (attachStore) meaningful.
+/// one parallel analysis. Keys are the ContentKeys of whole assertion
+/// stacks (Solver::contentKey), which cover the ENTIRE live stack —
+/// including assertions inside open push/pop scopes — so a verdict recorded
+/// under one scope can never be served for a different one. Keys are
+/// CONTENT-based (smt/fingerprint.h): two runs that build the same logical
+/// conjunction derive the same key no matter how their atom tables are
+/// laid out, which is what makes the optional disk layer (attachStore)
+/// meaningful.
 ///
-/// Each solver still derives keys through its own per-table memo, so the
-/// cache binds to the table of the first solver that attaches and rejects
-/// attachment from any other table (one cache = one analysis).
+/// The cache binds to the table of the first solver that attaches and
+/// rejects attachment from any other table (one cache = one analysis).
 class VerdictCache {
  public:
   /// A cached verdict plus the decision tier (0/1 fast path, 2 full solve)
@@ -139,19 +139,30 @@ class VerdictCache {
   /// On a memory miss with a persistent store attached, the store is
   /// consulted (under the same budget guard) and a disk hit is memoized
   /// in the shard map for the rest of the run.
-  [[nodiscard]] std::optional<Entry> lookup(const std::string& key,
+  [[nodiscard]] std::optional<Entry> lookup(const ContentKey& key,
                                             long long stepLimit = 0);
   /// Records a verdict. Concurrent stores of the same key are benign: every
   /// solver derives the same verdict (and tier) for the same fingerprint
   /// under the same budget, and cross-budget reuse is guarded in lookup().
   /// With a persistent store attached, new or upgraded entries are written
   /// through (outside the shard lock).
-  void store(const std::string& key, CheckResult r, int tier = 2,
+  void store(const ContentKey& key, CheckResult r, int tier = 2,
              bool complete = true, long long steps = 0);
+
+  /// Shared upgrade policy of every verdict layer: true when `e` covers
+  /// strictly more budgets than `cur` (a complete verdict over an exhausted
+  /// one, or an exhaustion at a larger limit). Serving is guarded by
+  /// sufficientFor, so this policy only affects hit rates, never verdicts.
+  [[nodiscard]] static bool upgrades(const Entry& e, const Entry& cur) {
+    return (e.complete && !cur.complete) ||
+           (!e.complete && !cur.complete && e.steps > cur.steps);
+  }
 
   /// Attaches a disk-backed persistent store consulted on memory misses and
   /// written through on stores (nullptr = detach). The store outlives the
-  /// cache and may be shared by many caches and runs concurrently.
+  /// cache and may be shared by many caches and runs concurrently. Attach
+  /// before any solver attaches: it switches the cache to the store's
+  /// interner.
   void attachStore(PersistentVerdictStore* store) { store_ = store; }
   [[nodiscard]] PersistentVerdictStore* attachedStore() const {
     return store_;
@@ -168,9 +179,14 @@ class VerdictCache {
     std::optional<Entry> served;
     FlightClaim claim;
   };
-  [[nodiscard]] CheckFlight claimCheck(const std::string& key,
+  [[nodiscard]] CheckFlight claimCheck(const ContentKey& key,
                                        long long stepLimit,
                                        const support::CancelToken* cancel);
+
+  /// The interner this cache's keys are built from: the attached store's
+  /// (so store records and memory entries share identities), else the
+  /// cache's own.
+  [[nodiscard]] ConstraintInterner& interner();
 
   [[nodiscard]] long long hits() const {
     return memoryHits_.load(std::memory_order_relaxed) +
@@ -204,12 +220,16 @@ class VerdictCache {
   static constexpr size_t kShards = 16;
   struct Shard {
     std::mutex mu;
-    std::unordered_map<std::string, Entry> map;
+    ContentMap<Entry> map;
   };
-  [[nodiscard]] Shard& shardFor(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % kShards];
+  [[nodiscard]] Shard& shardFor(const ContentKey& key) {
+    return shards_[key.digest.hi % kShards];
   }
+  /// Memoizes `e` under `key`, keeping the stronger entry (upgrades).
+  /// Returns true when the entry is new or upgraded.
+  bool memoize(const ContentKey& key, const Entry& e);
 
+  ConstraintInterner interner_;
   std::array<Shard, kShards> shards_;
   PersistentVerdictStore* store_ = nullptr;
   std::atomic<long long> memoryHits_{0};
@@ -238,7 +258,7 @@ class Solver {
   /// assertion stack, but two layers of incrementality avoid repeated work
   /// across the many near-identical stacks FormAD's context-tree walk
   /// produces:
-  ///   - a verdict cache keyed on the canonicalized stack (conjunctions are
+  ///   - a verdict cache keyed on the stack's ContentKey (conjunctions are
   ///     order-independent), so re-checking an already-decided conjunction
   ///     is a map lookup;
   ///   - within one solve, each Ne constraint is reduced against the
@@ -323,7 +343,7 @@ class Solver {
   /// Attaches the abstract interpreter's per-variable facts (nullptr =
   /// off, the default). While attached with a nonzero salt, the tiered
   /// fast path additionally runs the "t1-absint" witness decider, and
-  /// stackKey() is prefixed with the salt — verdicts (whose recorded tier
+  /// contentKey() carries the salt — verdicts (whose recorded tier
   /// depends on the deciders available) computed under different -absint
   /// settings can then never be served across settings, in memory or on
   /// disk. Survives reset().
@@ -353,7 +373,8 @@ class Solver {
   /// Shares a concurrent verdict cache with other solvers over the SAME
   /// AtomTable (per-worker solvers of one parallel analysis). While
   /// attached, check() consults the shared cache instead of the private
-  /// map. Pass nullptr to detach.
+  /// map, and keys intern through the cache's interner (a live stack is
+  /// re-interned). Pass nullptr to detach.
   void attachCache(VerdictCache* cache);
 
   /// Clears the assertion stack, open scopes, and the thread binding (so
@@ -361,19 +382,11 @@ class Solver {
   /// Stats and cache attachment survive.
   void reset();
 
-  /// Canonical CONTENT fingerprint of one constraint (smt/fingerprint.h) —
-  /// the unit stackKey() and the analysis replay build conjunction
-  /// fingerprints from. Two constraints with equal keys are the same
-  /// assertion, in this run or any other over the same logical atoms.
-  [[nodiscard]] std::string constraintKey(const Constraint& c) {
-    return fp_.constraintKey(c);
-  }
-
-  /// Canonical fingerprint of the current conjunction: per-constraint keys,
-  /// sorted (a conjunction is order-independent) and joined. Covers the
-  /// whole live stack including open push/pop scopes, so cached verdicts
-  /// can never leak across scopes.
-  [[nodiscard]] std::string stackKey() const;
+  /// ContentKey of the current conjunction (KeyKind::Check, carrying the
+  /// absint salt). Covers the whole live stack including open push/pop
+  /// scopes, so cached verdicts can never leak across scopes. O(stack):
+  /// the digest sum and the canonical order are maintained by add/pop.
+  [[nodiscard]] ContentKey contentKey() const;
 
  private:
   /// check() body on a cache miss: tiered fast path first, full solve as
@@ -394,12 +407,19 @@ class Solver {
   /// with the solver; survives reset() like the memo it carries.
   Fingerprinter fp_{atoms_};
   std::vector<Constraint> stack_;
-  /// constraintKey of each stack_ entry, maintained by add/pop/reset so
-  /// stackKey() never re-derives expression keys (the schedulers re-check
-  /// under long-lived incremental stacks, where re-keying dominated).
-  std::vector<std::string> keys_;
+  /// Interned key of each stack_ entry, in stack order (add/pop/reset).
+  std::vector<const InternedConstraint*> interned_;
+  /// The same keys in canonical order, and their digest sum: contentKey()
+  /// reads both without sorting or hashing the stack.
+  std::vector<const InternedConstraint*> canonical_;
+  ContentDigest sum_;
   std::vector<size_t> marks_;
-  std::map<std::string, VerdictCache::Entry> verdictCache_;
+  /// Interner and verdict map used while no shared cache is attached.
+  ConstraintInterner localInterner_;
+  ContentMap<VerdictCache::Entry> verdictCache_;
+  /// The interner stack keys are built from: the shared cache's while one
+  /// is attached, else localInterner_.
+  ConstraintInterner* interner_ = &localInterner_;
   VerdictCache* sharedCache_ = nullptr;
   std::thread::id owner_{};
   FastPathMode fastMode_ = FastPathMode::Off;

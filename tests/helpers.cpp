@@ -496,4 +496,20 @@ std::vector<smt::Constraint> randomConjunction(smt::AtomTable& atoms,
   return out;
 }
 
+smt::ContentKey contentKeyOf(smt::ConstraintInterner& interner,
+                             smt::KeyKind kind,
+                             const std::vector<std::string>& conjunction,
+                             const std::vector<std::string>& probes) {
+  std::vector<const smt::InternedConstraint*> conj, seq;
+  for (const auto& k : conjunction) conj.push_back(interner.intern(k));
+  for (const auto& k : probes) seq.push_back(interner.intern(k));
+  return smt::ContentKey::make(kind, 0, std::move(conj), std::move(seq));
+}
+
+smt::ContentKey withDigest(smt::ContentKey key,
+                           const smt::ContentDigest& digest) {
+  key.digest = digest;
+  return key;
+}
+
 }  // namespace formad::testing

@@ -96,4 +96,18 @@ std::string mutateIndexSite(const std::string& source, unsigned seed);
 std::vector<smt::Constraint> randomConjunction(smt::AtomTable& atoms,
                                                unsigned seed);
 
+/// A ContentKey over literal canonical constraint keys, interned in
+/// `interner` (conjunction in any order, probes in order). Lets store and
+/// registry tests name content without building solver stacks.
+smt::ContentKey contentKeyOf(smt::ConstraintInterner& interner,
+                             smt::KeyKind kind,
+                             const std::vector<std::string>& conjunction,
+                             const std::vector<std::string>& probes = {});
+
+/// `key` with its digest replaced by `digest` and its identity kept: two
+/// such keys simulate a 128-bit digest collision between different
+/// content.
+smt::ContentKey withDigest(smt::ContentKey key,
+                           const smt::ContentDigest& digest);
+
 }  // namespace formad::testing

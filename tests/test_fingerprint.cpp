@@ -1,7 +1,9 @@
-// Content-fingerprint stability and persistent-store durability (the
-// -cache-dir layer): golden context fingerprints for the paper kernels,
-// interning-order independence of the canonical keys, edit locality, and
-// recovery from corrupt/truncated/misnamed cache files.
+// Content-key stability and persistent-store durability (the -cache-dir
+// layer): golden context fingerprints for the paper kernels,
+// interning-order independence of the keys, edit locality, scheduler task
+// keys against a from-scratch derivation, digest collisions costing a miss
+// in every layer, and recovery from corrupt/truncated/old-format cache
+// files.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,11 +15,15 @@
 
 #include "analysis/activity.h"
 #include "analysis/symbols.h"
+#include "driver/driver.h"
+#include "formad/formad.h"
 #include "formad/knowledge.h"
+#include "formad/scheduler.h"
 #include "helpers.h"
 #include "ir/traversal.h"
 #include "kernels/gfmc.h"
 #include "kernels/greengauss.h"
+#include "kernels/lbm.h"
 #include "kernels/stencil.h"
 #include "parser/parser.h"
 #include "smt/diskcache.h"
@@ -27,6 +33,8 @@ namespace {
 
 using namespace formad;
 namespace fs = std::filesystem;
+using formad::testing::contentKeyOf;
+using formad::testing::withDigest;
 
 /// contextFingerprints of every parallel region of `source`, in region
 /// order.
@@ -84,36 +92,40 @@ TEST(Fingerprint, GoldenPaperKernels) {
                                 stencil.dependents);
   ASSERT_EQ(fps.size(), 1u);
   EXPECT_EQ(fps[0], (std::map<int, std::string>{
-                        {0, "82a308b4fac7e65006305941f8ee1b80"}}));
+                        {0, "ffe58d629703e7aee16c8329031a7dd0"}}));
 
   const auto gfmc = kernels::gfmcSplitSpec();
   fps = regionFingerprints(gfmc.source, gfmc.independents, gfmc.dependents);
   ASSERT_EQ(fps.size(), 2u);
   EXPECT_EQ(fps[0], (std::map<int, std::string>{
-                        {1, "7f36b68334c0098501c45f266527f935"}}));
+                        {1, "064ec0d5b308a18a128796bf9bc216bb"}}));
   EXPECT_EQ(fps[1], (std::map<int, std::string>{
-                        {1, "a695b6e1c13c9af76a436987b9d9bf47"}}));
+                        {1, "006e6fb4584c5a0ca5138b95fba8ca37"}}));
 
   const auto gg = kernels::greenGaussSpec();
   fps = regionFingerprints(gg.source, gg.independents, gg.dependents);
   ASSERT_EQ(fps.size(), 1u);
   EXPECT_EQ(fps[0], (std::map<int, std::string>{
-                        {1, "b9cde78027f23615d28cfeb5013c94c5"}}));
+                        {1, "de1a826fae4f03155e12c6877bf3e77c"}}));
 }
 
 TEST(Fingerprint, GoldenDigestPrimitives) {
-  // Pins the digest algorithm itself (two seeded FNV-1a halves).
-  EXPECT_EQ(smt::contentDigest(""), "cbf29ce4842223259e3779b97f4a7c15");
-  EXPECT_EQ(smt::contentDigest("=1*i#0+0;"),
-            "aee2f5bf0eaebf1fa7412c802aaf6a0f");
-  // digestHex over precomputed halves agrees with contentDigest.
-  const std::string k = "=1*i#0+0;";
-  EXPECT_EQ(smt::digestHex(smt::fnv1a64(k),
-                           smt::fnv1a64(k, smt::kDigestSeed2)),
-            smt::contentDigest(k));
-  // FNV-1a is a streaming left fold: digest(prefix + suffix) resumes from
-  // the prefix state (the scheduler's incremental derivations rely on it).
-  EXPECT_EQ(smt::fnv1a64("abcdef"), smt::fnv1a64("def", smt::fnv1a64("abc")));
+  // Pins the per-constraint digest (two seeded, finalized FNV-1a halves)...
+  EXPECT_EQ(smt::constraintDigest("").hex(),
+            "f52a15e9a9b5e89be220a8397b1dcdaf");
+  EXPECT_EQ(smt::constraintDigest("=1*i#0+0").hex(),
+            "9d351d38534418cb35668f5b34c0b963");
+  // ...and the key digest folded over digest sums.
+  smt::ConstraintInterner interner;
+  const auto key =
+      contentKeyOf(interner, smt::KeyKind::Check, {"=1*i#0+0", "!1*j#0+0"});
+  EXPECT_EQ(key.digest.hex(), "49c806f6ff2dd25b174251f7b82186ba");
+  // The digest is the key digest of the per-constraint digest SUM, and the
+  // canonical form lists the keys in digest order.
+  smt::ContentDigest sum = smt::constraintDigest("=1*i#0+0");
+  sum += smt::constraintDigest("!1*j#0+0");
+  EXPECT_EQ(key.digest, smt::keyDigest(smt::KeyKind::Check, 0, sum, 2, {}));
+  EXPECT_EQ(key.canonical(), "c|0000000000000000|=1*i#0+0;!1*j#0+0;");
 }
 
 TEST(Fingerprint, StableAcrossIndependentBuilds) {
@@ -134,7 +146,9 @@ TEST(Fingerprint, IndependentOfAtomInterningOrder) {
   auto j2 = rev.internVar("j", 0, true);
   auto i2 = rev.internVar("i", 0, false);
 
-  auto keyOf = [](smt::AtomTable& t, smt::AtomId i, smt::AtomId j) {
+  // Each side interns into its own interner, as two processes would.
+  auto keyOf = [](smt::AtomTable& t, smt::AtomId i, smt::AtomId j,
+                  smt::ConstraintInterner& interner) {
     smt::Fingerprinter fp(t);
     smt::LinExpr e = smt::LinExpr::atom(i);
     e.addTerm(j, smt::Rational(-1));
@@ -143,18 +157,31 @@ TEST(Fingerprint, IndependentOfAtomInterningOrder) {
         smt::LinExpr::atom(i), smt::LinExpr::atom(j))));
     parts.push_back(
         fp.constraintKey(smt::Constraint{std::move(e), smt::Rel::Eq}));
-    return smt::conjunctionKey(std::move(parts));
+    return contentKeyOf(interner, smt::KeyKind::Check, parts);
   };
-  const std::string a = keyOf(fwd, i1, j1);
-  const std::string b = keyOf(rev, i2, j2);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(smt::contentDigest(a), smt::contentDigest(b));
+  smt::ConstraintInterner fwdInterner, revInterner;
+  const smt::ContentKey a = keyOf(fwd, i1, j1, fwdInterner);
+  const smt::ContentKey b = keyOf(rev, i2, j2, revInterner);
+  EXPECT_EQ(a.canonical(), b.canonical());
+  EXPECT_EQ(a.digest, b.digest);
 }
 
-TEST(Fingerprint, ConjunctionKeyIgnoresPartOrder) {
-  EXPECT_EQ(smt::conjunctionKey({"b", "a", "c"}),
-            smt::conjunctionKey({"c", "a", "b"}));
-  EXPECT_EQ(smt::conjunctionKey({"b", "a", "c"}), "a;b;c;");
+TEST(Fingerprint, ContentKeyIgnoresPartOrder) {
+  smt::ConstraintInterner interner;
+  const auto abc =
+      contentKeyOf(interner, smt::KeyKind::Check, {"b", "a", "c"});
+  const auto cab =
+      contentKeyOf(interner, smt::KeyKind::Check, {"c", "a", "b"});
+  EXPECT_EQ(abc, cab);
+  EXPECT_EQ(abc.canonical(), cab.canonical());
+  // Kind, salt and probe order are all part of the key.
+  EXPECT_NE(contentKeyOf(interner, smt::KeyKind::Pair, {"a"}, {"p", "q"}),
+            contentKeyOf(interner, smt::KeyKind::Pair, {"a"}, {"q", "p"}));
+  EXPECT_NE(
+      contentKeyOf(interner, smt::KeyKind::Pair, {"a"}, {"p", "q"}).digest,
+      contentKeyOf(interner, smt::KeyKind::Pair, {"a"}, {"q", "p"}).digest);
+  EXPECT_NE(contentKeyOf(interner, smt::KeyKind::Consistency, {"a"}).digest,
+            contentKeyOf(interner, smt::KeyKind::Check, {"a"}).digest);
 }
 
 TEST(Fingerprint, EditMovesOnlyTheEditedContext) {
@@ -175,12 +202,61 @@ TEST(Fingerprint, EditMovesOnlyTheEditedContext) {
   EXPECT_NE(base[0].at(2), moved[0].at(2));
 }
 
+// Every scheduler task key equals a from-scratch derivation: render each
+// base and probe constraint with a fresh Fingerprinter, intern, and build
+// the key with ContentKey::make (which sorts and sums from nothing). The
+// scheduler's keys come from O(1) digest sums and spliced canonical lists
+// along its prefix tree; they must agree exactly.
+TEST(Fingerprint, SchedulerTaskKeysMatchFromScratchDerivation) {
+  const std::vector<kernels::KernelSpec> specs = {
+      kernels::stencilSpec(1),   kernels::stencilSpec(8),
+      kernels::gfmcSplitSpec(),  kernels::gfmcFusedSpec(),
+      kernels::lbmSpec(),        kernels::greenGaussSpec()};
+  for (const auto& spec : specs) {
+    auto kernel = parser::parseKernel(spec.source);
+    auto syms = analysis::verifyKernel(*kernel);
+    auto act = analysis::computeActivity(*kernel, syms, spec.independents,
+                                         spec.dependents);
+    size_t checked = 0;
+    ir::forEachStmt(kernel->body, [&](const ir::Stmt& s) {
+      if (s.kind() != ir::StmtKind::For || !s.as<ir::For>().parallel) return;
+      const auto model =
+          core::buildRegionModel(*kernel, s.as<ir::For>(), syms, act);
+      smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+      core::ExploitOptions opts;
+      opts.store = &store;
+      const core::QueryScheduler sched(model, opts);
+      smt::Fingerprinter fp(*model.atoms);
+      smt::ConstraintInterner elsewhere;  // a second process's interner
+      for (const auto& t : sched.tasks()) {
+        std::vector<std::string> conj, probes;
+        for (const auto& c : sched.baseConjunction(t.baseId))
+          conj.push_back(fp.constraintKey(c));
+        for (const auto& p : t.probes) probes.push_back(fp.constraintKey(p));
+        const auto kind = t.kind == core::QueryTask::Kind::Consistency
+                              ? smt::KeyKind::Consistency
+                              : smt::KeyKind::Pair;
+        const smt::ContentKey scratch =
+            contentKeyOf(store.interner(), kind, conj, probes);
+        EXPECT_EQ(t.key, scratch) << spec.name;
+        const smt::ContentKey other =
+            contentKeyOf(elsewhere, kind, conj, probes);
+        EXPECT_EQ(t.key.digest, other.digest) << spec.name;
+        EXPECT_EQ(t.key.canonical(), other.canonical()) << spec.name;
+        ++checked;
+      }
+    });
+    EXPECT_GT(checked, 0u) << spec.name;
+  }
+}
+
 // --- persistent store durability ---
 
 TEST(DiskCache, CheckRecordRoundtripAndBudgetGuard) {
   TempDir dir("check");
   smt::PersistentVerdictStore store(dir.path.string());
-  const std::string key = "!1*i#0'+-1*i#0+0;";
+  const auto key =
+      contentKeyOf(store.interner(), smt::KeyKind::Check, {"!1*i#0'+-1*i#0+0"});
 
   smt::VerdictCache::Entry complete{smt::CheckResult::Unsat, 2, true, 50};
   store.storeCheck(key, complete);
@@ -197,7 +273,8 @@ TEST(DiskCache, CheckRecordRoundtripAndBudgetGuard) {
 
   // Exhausted verdict: only served under a budget no larger than the one
   // that ran out — a starved Unknown must never poison an unlimited run.
-  const std::string key2 = key + "x";
+  const auto key2 = contentKeyOf(store.interner(), smt::KeyKind::Check,
+                                 {"!1*i#0'+-1*i#0+0", "x"});
   smt::VerdictCache::Entry starved{smt::CheckResult::Unknown, 2, false, 100};
   store.storeCheck(key2, starved);
   EXPECT_TRUE(store.loadCheck(key2, 100).has_value());
@@ -209,17 +286,17 @@ TEST(DiskCache, CheckRecordRoundtripAndBudgetGuard) {
 TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
   TempDir dir("task");
   smt::PersistentVerdictStore store(dir.path.string());
-  const std::string key = "P|!1*i#0'+-1*i#0+0;|=1*q#0+0";
-  const std::string digest(32, 'a');
+  const auto key = contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                                {"!1*i#0'+-1*i#0+0"}, {"=1*q#0+0"});
 
   smt::PersistentVerdictStore::TaskRecord rec;
   rec.pairSafe = true;
   rec.tiers = {2, 0};
   rec.exhausted = {0, 0};
   rec.steps = {40, 1};
-  store.storeTask(key, rec, digest);
+  store.storeTask(key, rec);
 
-  auto got = store.loadTask(key, 0, digest);
+  auto got = store.loadTask(key, 0);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->pairSafe);
   EXPECT_FALSE(got->unsat);
@@ -227,19 +304,139 @@ TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
   EXPECT_EQ(got->steps, (std::vector<long long>{40, 1}));
 
   // A different digest looks under a different file name: miss.
-  EXPECT_FALSE(store.loadTask(key, 0, std::string(32, 'b')).has_value());
-  // Same digest, different key (a simulated digest collision): the full
-  // key verification rejects it — a collision costs a miss, never a wrong
-  // verdict.
-  EXPECT_FALSE(store.loadTask(key + ";", 0, digest).has_value());
+  EXPECT_FALSE(
+      store.loadTask(withDigest(key, smt::ContentDigest{1, 2}), 0).has_value());
+  // Same digest, different key (a simulated digest collision): the
+  // canonical-key verification rejects it — a collision costs a miss,
+  // never a wrong verdict. Both a different conjunction and a different
+  // probe sequence are caught.
+  const auto otherBase = contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                                      {"!1*i#0'+-1*i#0+0", ";"}, {"=1*q#0+0"});
+  const auto otherProbes = contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                                        {"!1*i#0'+-1*i#0+0"},
+                                        {"=1*q#0+0", "=1*r#0+0"});
+  EXPECT_FALSE(
+      store.loadTask(withDigest(otherBase, key.digest), 0).has_value());
+  EXPECT_FALSE(
+      store.loadTask(withDigest(otherProbes, key.digest), 0).has_value());
   // Budget guard applies to EVERY recorded check.
-  EXPECT_FALSE(store.loadTask(key, 10, digest).has_value());
+  EXPECT_FALSE(store.loadTask(key, 10).has_value());
+}
+
+// A digest collision is a miss in the in-memory layers too: the exact
+// identity is checked on every digest hit, and colliding keys live side
+// by side as separate entries.
+TEST(ContentKeyCollision, VerdictCacheMissesAndKeepsBoth) {
+  smt::VerdictCache cache;
+  const auto a =
+      contentKeyOf(cache.interner(), smt::KeyKind::Check, {"=1*i#0+0"});
+  const auto b = withDigest(
+      contentKeyOf(cache.interner(), smt::KeyKind::Check, {"=1*j#0+0"}),
+      a.digest);
+  ASSERT_NE(a, b);
+  cache.store(a, smt::CheckResult::Unsat, 2, true, 5);
+  EXPECT_FALSE(cache.lookup(b).has_value());
+  cache.store(b, smt::CheckResult::Sat, 1, true, 3);
+  ASSERT_TRUE(cache.lookup(a).has_value());
+  EXPECT_EQ(cache.lookup(a)->result, smt::CheckResult::Unsat);
+  ASSERT_TRUE(cache.lookup(b).has_value());
+  EXPECT_EQ(cache.lookup(b)->result, smt::CheckResult::Sat);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ContentKeyCollision, StoreMemoryLayerMissesAndKeepsBoth) {
+  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  const auto a =
+      contentKeyOf(store.interner(), smt::KeyKind::Check, {"=1*i#0+0"});
+  const auto b = withDigest(
+      contentKeyOf(store.interner(), smt::KeyKind::Check, {"=1*j#0+0"}),
+      a.digest);
+  store.storeCheck(a, {smt::CheckResult::Unsat, 2, true, 5});
+  EXPECT_FALSE(store.loadCheck(b, 0).has_value());
+  store.storeCheck(b, {smt::CheckResult::Sat, 2, true, 5});
+  EXPECT_EQ(store.loadCheck(a, 0)->result, smt::CheckResult::Unsat);
+  EXPECT_EQ(store.loadCheck(b, 0)->result, smt::CheckResult::Sat);
+
+  const auto ta = contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                               {"!1*i#0+0"}, {"=1*q#0+0"});
+  const auto tb = withDigest(contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                                          {"!1*i#0+0"}, {"=1*r#0+0"}),
+                             ta.digest);
+  smt::PersistentVerdictStore::TaskRecord safe;
+  safe.pairSafe = true;
+  safe.tiers = {2};
+  safe.exhausted = {0};
+  safe.steps = {7};
+  store.storeTask(ta, safe);
+  EXPECT_FALSE(store.loadTask(tb, 0).has_value());
+  smt::PersistentVerdictStore::TaskRecord unsafe = safe;
+  unsafe.pairSafe = false;
+  store.storeTask(tb, unsafe);
+  EXPECT_TRUE(store.loadTask(ta, 0)->pairSafe);
+  EXPECT_FALSE(store.loadTask(tb, 0)->pairSafe);
+}
+
+// Records of the previous store format ("formadvc 1") are a clean miss:
+// no throw, every task recomputed, the same report as a store-free run,
+// and the recomputed records make the next run warm.
+TEST(DiskCache, VersionOneRecordsAreACleanMiss) {
+  const auto spec = kernels::gfmcSplitSpec();
+  auto analyze = [&](smt::PersistentVerdictStore* store) {
+    driver::DriverOptions opts;
+    opts.verdictStore = store;
+    auto kernel = parser::parseKernel(spec.source);
+    auto a = driver::analyze(*kernel, spec.independents, spec.dependents, opts);
+    return std::make_pair(core::describe(a, false) + core::describeTiers(a),
+                          a.tasksPersisted());
+  };
+  const std::string ref = analyze(nullptr).first;
+
+  // Hand-write a v1 record under every file name the current format uses,
+  // each carrying the right canonical key and a payload that would claim
+  // Unsat / a safe pair if it were believed.
+  TempDir current("v2"), old("v1");
+  {
+    smt::PersistentVerdictStore store(current.path.string());
+    (void)analyze(&store);
+  }
+  fs::create_directories(old.path);
+  size_t written = 0;
+  for (const auto& e : fs::directory_iterator(current.path)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    std::string magic, keyLine, key;
+    ASSERT_TRUE(std::getline(in, magic) && std::getline(in, keyLine) &&
+                std::getline(in, key));
+    ASSERT_EQ(magic.rfind("formadvc 2 ", 0), 0u) << magic;
+    const char kind = magic.back();
+    std::ofstream out(old.path / e.path().filename(), std::ios::binary);
+    out << "formadvc 1 " << kind << '\n' << keyLine << '\n' << key << '\n'
+        << (kind == 'c' ? "verdict unsat 0 1 0\n" : "task 1 1 1\nc 0 0 0\n")
+        << "ok\n";
+    ++written;
+  }
+  ASSERT_GT(written, 0u);
+
+  smt::PersistentVerdictStore store(old.path.string());
+  std::pair<std::string, long long> cold;
+  ASSERT_NO_THROW(cold = analyze(&store));
+  EXPECT_EQ(cold.first, ref);
+  EXPECT_GT(cold.second, 0);
+  EXPECT_EQ(store.stats().taskHits, 0);
+  EXPECT_EQ(store.stats().checkHits, 0);
+
+  // The recompute rewrote the slots in the current format.
+  smt::PersistentVerdictStore reopened(old.path.string());
+  const auto warm = analyze(&reopened);
+  EXPECT_EQ(warm.first, ref);
+  EXPECT_EQ(warm.second, 0);
+  EXPECT_GT(reopened.stats().taskHits, 0);
 }
 
 TEST(DiskCache, CorruptAndTruncatedFilesFallThrough) {
   TempDir dir("corrupt");
   smt::PersistentVerdictStore store(dir.path.string());
-  const std::string key = "!1*i#0'+-1*i#0+0;";
+  const auto key =
+      contentKeyOf(store.interner(), smt::KeyKind::Check, {"!1*i#0'+-1*i#0+0"});
   store.storeCheck(key, {smt::CheckResult::Unsat, 2, true, 5});
   ASSERT_TRUE(store.loadCheck(key, 0).has_value());
 

@@ -1,6 +1,8 @@
 // Lexer, parser, printer round-trips, and semantic verification.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "analysis/symbols.h"
 #include "ir/printer.h"
 #include "parser/lexer.h"
@@ -45,6 +47,28 @@ TEST(Lexer, AllOperators) {
 TEST(Lexer, RejectsStrayCharacters) {
   EXPECT_THROW((void)tokenize("a $ b"), Error);
   EXPECT_THROW((void)tokenize("a & b"), Error);
+}
+
+// Literals beyond the target type are located diagnostics, not aborts.
+TEST(Lexer, LiteralRangeIsChecked) {
+  auto toks = tokenize("9223372036854775807 1e308");
+  ASSERT_GE(toks.size(), 2u);
+  EXPECT_EQ(toks[0].kind, TokKind::IntLit);
+  EXPECT_EQ(toks[0].intValue, INT64_MAX);
+  EXPECT_EQ(toks[1].kind, TokKind::RealLit);
+  EXPECT_DOUBLE_EQ(toks[1].realValue, 1e308);
+  for (const char* src :
+       {"x = 9223372036854775808;", "w[123456789012345678901]",
+        "y = w[i] * 1e999;"}) {
+    try {
+      (void)tokenize(std::string("\n  ") + src);
+      ADD_FAILURE() << "accepted " << src;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.where().line, 2) << src;
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Parser, ExpressionPrecedence) {

@@ -219,6 +219,32 @@ TEST(ServerProtocol, MalformedInputsGetStructuredErrors) {
   EXPECT_TRUE(okOf(parse(daemon.process(R"({"op":"stats"})"))));
 }
 
+// Literals the lexer cannot represent fail the one request as a
+// kernel_error with the literal named; the daemon serves the next request.
+TEST(ServerProtocol, OutOfRangeLiteralIsAKernelError) {
+  AnalysisServer daemon(ServeOptions{});
+  const std::string kernelHead =
+      "kernel k(n: int in, v: real[] inout, w: real[] in) {\n"
+      "  parallel for i = 0 : n - 1 {\n";
+  for (const std::string body : {"    v[i] += w[123456789012345678901];\n",
+                                 "    v[i] += w[i] * 1e999;\n"}) {
+    kernels::KernelSpec spec;
+    spec.name = "overflow";
+    spec.source = kernelHead + body + "  }\n}\n";
+    spec.independents = {"w"};
+    spec.dependents = {"v"};
+    JsonValue r = parse(daemon.process(analyzeFrame(spec)));
+    EXPECT_FALSE(okOf(r)) << body;
+    EXPECT_EQ(errorCodeOf(r), "kernel_error") << body;
+    EXPECT_NE(daemon.process(analyzeFrame(spec)).find("out of range"),
+              std::string::npos)
+        << body;
+    JsonValue next =
+        parse(daemon.process(analyzeFrame(kernels::stencilSpec(1))));
+    EXPECT_TRUE(okOf(next)) << body;
+  }
+}
+
 TEST(ServerProtocol, BadRequestStillEchoesTheId) {
   AnalysisServer daemon(ServeOptions{});
   JsonValue r = parse(daemon.process(R"({"id":"req-9","op":"noop"})"));

@@ -19,6 +19,7 @@
 
 #include "driver/driver.h"
 #include "formad/formad.h"
+#include "helpers.h"
 #include "kernels/stencil.h"
 #include "parser/parser.h"
 #include "smt/diskcache.h"
@@ -29,6 +30,8 @@ namespace {
 
 using namespace formad;
 namespace fs = std::filesystem;
+using formad::testing::contentKeyOf;
+using formad::testing::withDigest;
 
 struct TempDir {
   fs::path path;
@@ -139,6 +142,12 @@ TEST(SharedPool, PriorityIsClampedToValidClasses) {
 // ---------------------------------------------------------------------------
 // Single-flight registry, store level.
 
+/// A check key over one literal constraint key, interned in `store`.
+smt::ContentKey checkKey(smt::PersistentVerdictStore& store,
+                         const std::string& constraint) {
+  return contentKeyOf(store.interner(), smt::KeyKind::Check, {constraint});
+}
+
 smt::VerdictCache::Entry unsatEntry() {
   smt::VerdictCache::Entry e;
   e.result = smt::CheckResult::Unsat;
@@ -150,7 +159,7 @@ smt::VerdictCache::Entry unsatEntry() {
 
 TEST(SingleFlight, JoinerIsServedTheWinnersPublishedVerdict) {
   smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
-  const std::string key = "conj|a=b";
+  const auto key = checkKey(store, "a=b");
 
   auto winner = store.claimCheck(key, 0, nullptr);
   ASSERT_FALSE(winner.served.has_value());
@@ -179,7 +188,7 @@ TEST(SingleFlight, JoinerIsServedTheWinnersPublishedVerdict) {
 
 TEST(SingleFlight, FailedWinnerUnclaimsAndAJoinerRecomputes) {
   smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
-  const std::string key = "conj|fails";
+  const auto key = checkKey(store, "fails");
 
   std::optional<smt::PersistentVerdictStore::CheckClaim> winner(
       store.claimCheck(key, 0, nullptr));
@@ -209,7 +218,7 @@ TEST(SingleFlight, FailedWinnerUnclaimsAndAJoinerRecomputes) {
 
 TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
   smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
-  const std::string key = "conj|starved";
+  const auto key = checkKey(store, "starved");
 
   auto winner = store.claimCheck(key, /*stepLimit=*/5, nullptr);
   ASSERT_TRUE(winner.claim.owned());
@@ -240,7 +249,7 @@ TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
 
 TEST(SingleFlight, WaitingJoinerHonorsCancellation) {
   smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
-  const std::string key = "conj|stalled";
+  const auto key = checkKey(store, "stalled");
   auto winner = store.claimCheck(key, 0, nullptr);
   ASSERT_TRUE(winner.claim.owned());
 
@@ -256,16 +265,16 @@ TEST(SingleFlight, WaitingJoinerHonorsCancellation) {
 
 TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
   smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
-  const std::string key = "task|base+probes";
-  const std::string digest = "0123456789abcdef0123456789abcdef";
+  const auto key = contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                                {"base"}, {"probe1", "probe2"});
 
-  auto winner = store.claimTask(key, 0, digest, nullptr);
+  auto winner = store.claimTask(key, 0, nullptr);
   ASSERT_TRUE(winner.claim.owned());
   ASSERT_FALSE(winner.served.has_value());
 
   std::optional<smt::PersistentVerdictStore::TaskRecord> joined;
   std::thread joiner([&] {
-    auto c = store.claimTask(key, 0, digest, nullptr);
+    auto c = store.claimTask(key, 0, nullptr);
     ASSERT_TRUE(c.served.has_value());
     EXPECT_FALSE(c.claim.owned());
     joined = c.served;
@@ -276,12 +285,50 @@ TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
   rec.tiers = {2, 2};
   rec.exhausted = {0, 0};
   rec.steps = {4, 9};
-  store.storeTask(key, rec, digest);
+  store.storeTask(key, rec);
 
   joiner.join();
   ASSERT_TRUE(joined.has_value());
   EXPECT_TRUE(joined->pairSafe);
   EXPECT_EQ(joined->steps, (std::vector<long long>{4, 9}));
+}
+
+// Two different keys whose digests collide are separate flights: the
+// second claims at once instead of joining (or waiting on) the first, and
+// each publish serves only its own key.
+TEST(SingleFlight, DigestCollisionClaimsSeparately) {
+  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  const auto a = checkKey(store, "=1*i#0+0");
+  const auto b = withDigest(checkKey(store, "=1*j#0+0"), a.digest);
+  ASSERT_NE(a, b);
+  // A deadline turns a wrongful wait into a failure instead of a hang.
+  support::CancelToken cancel;
+  cancel.armDeadline(5000);
+
+  auto ca = store.claimCheck(a, 0, &cancel);
+  ASSERT_TRUE(ca.claim.owned());
+  auto cb = store.claimCheck(b, 0, &cancel);
+  ASSERT_TRUE(cb.claim.owned());
+  EXPECT_FALSE(cb.served.has_value());
+  store.storeCheck(a, unsatEntry());
+  EXPECT_FALSE(store.loadCheck(b, 0).has_value());
+  smt::VerdictCache::Entry sat = unsatEntry();
+  sat.result = smt::CheckResult::Sat;
+  store.storeCheck(b, sat);
+  EXPECT_EQ(store.loadCheck(a, 0)->result, smt::CheckResult::Unsat);
+  EXPECT_EQ(store.loadCheck(b, 0)->result, smt::CheckResult::Sat);
+
+  const auto ta = contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                               {"base"}, {"=1*q#0+0"});
+  const auto tb = withDigest(contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                                          {"base"}, {"=1*r#0+0"}),
+                             ta.digest);
+  auto cta = store.claimTask(ta, 0, &cancel);
+  ASSERT_TRUE(cta.claim.owned());
+  auto ctb = store.claimTask(tb, 0, &cancel);
+  ASSERT_TRUE(ctb.claim.owned());
+  EXPECT_FALSE(ctb.served.has_value());
+  EXPECT_EQ(store.stats().flightJoins, 0);
 }
 
 // ---------------------------------------------------------------------------

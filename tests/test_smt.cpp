@@ -782,21 +782,82 @@ TEST_F(SolverTest, SharedCacheNeverServesStaleScopedVerdict) {
   EXPECT_EQ(other.stats().cacheHits, 3);
 }
 
-// The stack fingerprint is insertion-order independent: the same set of
+// The stack key is insertion-order independent: the same set of
 // constraints asserted in a different order is the same cache entry.
 TEST_F(SolverTest, StackKeyIsOrderIndependent) {
   AtomId ci = atoms.internUF("c", {LinExpr::atom(i)});
+  // Two solvers on one cache share its interner, so their keys compare
+  // exactly (digest and identity).
+  VerdictCache cache;
   Solver a(atoms), b(atoms);
+  a.attachCache(&cache);
+  b.attachCache(&cache);
   a.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
   a.add(Constraint::le(LinExpr::atom(ci), LinExpr(Rational(8))));
   b.add(Constraint::le(LinExpr::atom(ci), LinExpr(Rational(8))));
   b.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
-  EXPECT_EQ(a.stackKey(), b.stackKey());
+  EXPECT_EQ(a.contentKey(), b.contentKey());
+
+  // Solvers with private interners agree on everything but the handles.
+  Solver c(atoms), d(atoms);
+  c.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
+  c.add(Constraint::le(LinExpr::atom(ci), LinExpr(Rational(8))));
+  d.add(Constraint::le(LinExpr::atom(ci), LinExpr(Rational(8))));
+  d.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
+  EXPECT_EQ(c.contentKey().digest, d.contentKey().digest);
+  EXPECT_EQ(c.contentKey().canonical(), d.contentKey().canonical());
+  EXPECT_EQ(c.contentKey().digest, a.contentKey().digest);
+  EXPECT_EQ(c.contentKey().canonical(), a.contentKey().canonical());
+}
+
+// The O(1) add/pop maintenance of the stack key matches the key of the
+// same stack built afresh, across pops, re-pushes and duplicates.
+TEST_F(SolverTest, StackKeyIsRestoredByPopAndRepush) {
+  VerdictCache cache;
+  Solver s(atoms), fresh(atoms);
+  s.attachCache(&cache);
+  fresh.attachCache(&cache);
+  const Constraint base = Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i));
+  const Constraint probe = Constraint::eq(LinExpr::atom(ip), LinExpr::atom(i));
+  s.add(base);
+  const ContentKey baseKey = s.contentKey();
+  s.push();
+  s.add(probe);
+  const ContentKey probed = s.contentKey();
+  EXPECT_NE(probed, baseKey);
+  EXPECT_NE(probed.digest, baseKey.digest);
+  s.pop();
+  EXPECT_EQ(s.contentKey(), baseKey);
+  s.push();
+  s.add(probe);
+  EXPECT_EQ(s.contentKey(), probed);
+  fresh.add(probe);
+  fresh.add(base);
+  EXPECT_EQ(fresh.contentKey(), probed);
+
+  // A duplicate assertion is a distinct multiset member; popping it
+  // restores the single-copy key.
+  s.push();
+  s.add(base);
+  EXPECT_NE(s.contentKey(), probed);
+  s.pop();
+  EXPECT_EQ(s.contentKey(), probed);
+  s.pop();
+  EXPECT_EQ(s.contentKey(), baseKey);
+
+  // The absint salt is part of the key.
+  AbsintHints hints;
+  hints.salt = 42;
+  s.setAbsintHints(&hints);
+  EXPECT_NE(s.contentKey(), baseKey);
+  EXPECT_NE(s.contentKey().digest, baseKey.digest);
+  s.setAbsintHints(nullptr);
+  EXPECT_EQ(s.contentKey(), baseKey);
 }
 
 // A VerdictCache is bound to the AtomTable of the first solver that
-// attaches; keys are AtomId-based, so sharing across tables would alias
-// unrelated constraints. The second attach must be rejected loudly.
+// attaches (one cache = one analysis). The second attach must be rejected
+// loudly.
 TEST(VerdictCacheTest, RejectsSharingAcrossAtomTables) {
   AtomTable t1, t2;
   (void)t1.internVar("i", 0, false);
