@@ -64,7 +64,7 @@ class Json {
 };
 
 /// Writes BENCH_<name>.json in the working directory with the shared
-/// envelope: {"benchmark": <name>, "schema_version": 3, ...body members...}.
+/// envelope: {"benchmark": <name>, "schema_version": 4, ...body members...}.
 /// `body` must be object(). Prints the "wrote ..." line the CI artifact
 /// step greps for.
 void writeBenchFile(const std::string& name, const Json& body);
@@ -75,9 +75,10 @@ void writeBenchFile(const std::string& name, const Json& body);
 /// absint_facts is 0 unless the analysis ran with model.absint on).
 [[nodiscard]] Json tierCountsJson(const core::KernelAnalysis& a);
 
-/// The persistent-cache object of the incremental benches (schema v2):
-/// spliced/persisted task counts, fresh solver work, memory/disk IO
-/// counters, and the task-level hit rate (0.0 when no store was attached).
+/// The persistent-cache object of the incremental benches (schema v4):
+/// spliced/persisted task counts, fresh solver work, the checks the
+/// verdict store served (`cache_hits`), and the task-level hit rate (0.0
+/// when no store was attached).
 [[nodiscard]] Json cacheCountsJson(const core::KernelAnalysis& a);
 
 struct FigureSetup {

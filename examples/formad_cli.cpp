@@ -157,8 +157,9 @@ std::map<std::string, long long> parseBindings(const std::string& s) {
 void printStoreStats(const smt::PersistentVerdictStore& store) {
   const smt::PersistentVerdictStore::Stats s = store.stats();
   std::cerr << "cache store '" << store.dir() << "': checks " << s.checkHits
-            << " hit / " << s.checkMisses << " miss / " << s.checkStores
-            << " stored; tasks " << s.taskHits << " hit / " << s.taskMisses
+            << " hit (" << s.checkMemoryHits << " memory) / " << s.checkMisses
+            << " miss / " << s.checkStores << " stored; tasks " << s.taskHits
+            << " hit (" << s.taskMemoryHits << " memory) / " << s.taskMisses
             << " miss / " << s.taskStores << " stored\n";
 }
 

@@ -125,21 +125,9 @@ long long KernelAnalysis::freshTier2Solves() const {
   return n;
 }
 
-long long KernelAnalysis::cacheMemoryHits() const {
+long long KernelAnalysis::checkCacheHits() const {
   long long n = 0;
-  for (const auto& r : regions) n += r.cacheMemoryHits;
-  return n;
-}
-
-long long KernelAnalysis::cacheDiskHits() const {
-  long long n = 0;
-  for (const auto& r : regions) n += r.cacheDiskHits;
-  return n;
-}
-
-long long KernelAnalysis::cacheDiskStores() const {
-  long long n = 0;
-  for (const auto& r : regions) n += r.cacheDiskStores;
+  for (const auto& r : regions) n += r.checkCacheHits;
   return n;
 }
 
@@ -154,9 +142,16 @@ KernelAnalysis analyzeKernel(const Kernel& kernel,
   KernelAnalysis out;
   forEachStmt(kernel.body, [&](const Stmt& s) {
     if (s.kind() != StmtKind::For || !s.as<For>().parallel) return;
-    RegionModel model =
-        buildRegionModel(kernel, s.as<For>(), syms, act, opts.model);
-    out.regions.push_back(exploitRegion(model, opts.exploit));
+    try {
+      RegionModel model =
+          buildRegionModel(kernel, s.as<For>(), syms, act, opts.model);
+      out.regions.push_back(exploitRegion(model, opts.exploit));
+    } catch (const smt::ArithmeticOverflow& err) {
+      // Overflow outside a solver check (building the model or a question)
+      // is a kernel error, located at the region unless already located.
+      if (err.where().known()) throw;
+      throw smt::ArithmeticOverflow(err.what(), s.loc());
+    }
   });
   return out;
 }
@@ -319,12 +314,7 @@ std::string describeCache(const KernelAnalysis& analysis) {
        << " spliced + " << r.tasksJoined << " joined + " << r.tasksPersisted
        << " persisted; fresh checks "
        << r.freshSolverChecks << " (" << r.freshTier2Solves
-       << " tier-2 solves); hits memory " << r.cacheMemoryHits << " ["
-       << r.cacheMemoryHitTiers[0] << '/' << r.cacheMemoryHitTiers[1] << '/'
-       << r.cacheMemoryHitTiers[2] << "] + disk " << r.cacheDiskHits << " ["
-       << r.cacheDiskHitTiers[0] << '/' << r.cacheDiskHitTiers[1] << '/'
-       << r.cacheDiskHitTiers[2] << "]; disk stores " << r.cacheDiskStores
-       << "\n";
+       << " tier-2 solves); cache hits " << r.checkCacheHits << "\n";
   }
   return os.str();
 }

@@ -50,7 +50,7 @@ struct KernelAnalysis {
   [[nodiscard]] long long budgetExhaustedChecks() const;
   [[nodiscard]] long long degradedPairs() const;
 
-  // Aggregate cross-run persistent-cache diagnostics over all regions. All
+  // Aggregate cache diagnostics over all regions. The task counts are
   // zero without an attached store; never rendered by describe() (see
   // describeCache below).
   [[nodiscard]] long long tasksSpliced() const;
@@ -58,9 +58,7 @@ struct KernelAnalysis {
   [[nodiscard]] long long tasksPersisted() const;
   [[nodiscard]] long long freshSolverChecks() const;
   [[nodiscard]] long long freshTier2Solves() const;
-  [[nodiscard]] long long cacheMemoryHits() const;
-  [[nodiscard]] long long cacheDiskHits() const;
-  [[nodiscard]] long long cacheDiskStores() const;
+  [[nodiscard]] long long checkCacheHits() const;
 };
 
 /// Runs knowledge extraction + exploitation on every parallel loop of the
@@ -101,9 +99,9 @@ struct KernelAnalysis {
 /// classic report stays byte-compatible with the pre-tier analyzer.
 [[nodiscard]] std::string describeTiers(const KernelAnalysis& analysis);
 
-/// Per-region persistent-cache breakdown, one line per region (stable
-/// format, golden-testable): spliced/persisted task counts, fresh solver
-/// work, and memory/disk hit counters with per-tier splits. Kept separate
+/// Per-region cache breakdown, one line per region (stable format,
+/// golden-testable): spliced/joined/persisted task counts, fresh solver
+/// work, and the checks the verdict store served. Kept separate
 /// from describe() so classic reports stay byte-identical whether or not a
 /// cache directory is configured (cache serving is verdict-neutral; only
 /// these IO observables differ between cold and warm runs).

@@ -177,11 +177,16 @@ RegionModel buildRegionModel(const Kernel& kernel, const For& loop,
   for (const auto& a : accesses) {
     LoweredAccess la;
     la.acc = &a;
-    la.offset = low.refOffset(*a.ref, /*primed=*/false);
-    la.offsetPrimed = low.refOffset(*a.ref, /*primed=*/true);
-    for (const auto& i : a.ref->indices) {
-      la.dims.push_back(low.lower(*i, /*primed=*/false));
-      la.dimsPrimed.push_back(low.lower(*i, /*primed=*/true));
+    try {
+      la.offset = low.refOffset(*a.ref, /*primed=*/false);
+      la.offsetPrimed = low.refOffset(*a.ref, /*primed=*/true);
+      for (const auto& i : a.ref->indices) {
+        la.dims.push_back(low.lower(*i, /*primed=*/false));
+        la.dimsPrimed.push_back(low.lower(*i, /*primed=*/true));
+      }
+    } catch (const smt::ArithmeticOverflow& err) {
+      // An index no exact model can hold: a kernel error at the reference.
+      throw smt::ArithmeticOverflow(err.what(), a.ref->loc());
     }
     la.context = m.contexts.contextOf(cfg, a.stmt);
     byArray[a.array].push_back(std::move(la));

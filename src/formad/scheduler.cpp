@@ -5,6 +5,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "smt/diskcache.h"
@@ -469,12 +470,14 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
 
   // Fault injection disables persistence entirely: an injected verdict is
   // not a pure function of its conjunction, so it must neither be served
-  // from nor written to a cross-run store.
+  // from nor written to a cross-run store. Without the caller's store, the
+  // solvers share a memory-only store of this run instead; task records
+  // go to the caller's store only.
   smt::PersistentVerdictStore* store =
       opts_.faultInject == nullptr ? opts_.store : nullptr;
-
-  smt::VerdictCache cache;
-  cache.attachStore(store);
+  std::optional<smt::PersistentVerdictStore> runStore;
+  smt::PersistentVerdictStore* checkStore =
+      store != nullptr ? store : &runStore.emplace();
   std::vector<QueryResult> results(tasks_.size());
   std::vector<char> spliced(tasks_.size(), 0);
   long long splicedCount = 0;
@@ -512,10 +515,11 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     ++splicedCount;
   };
 
-  // Gathers per-solver stats into the verdict's fresh-work diagnostics
-  // (fresh = not served by any cache layer; tier-2 fresh = full solves).
+  // Gathers per-solver stats into the verdict's cache diagnostics (fresh =
+  // not served by the store; tier-2 fresh = full solves).
   auto addSolverStats = [&](const smt::Solver& s) {
     const auto& st = s.stats();
+    verdict.checkCacheHits += st.cacheHits;
     verdict.freshSolverChecks += st.checks - st.cacheHits;
     verdict.freshTier2Solves += st.checks - st.cacheHits - st.fastpathTier0 -
                                 st.fastpathTier1;
@@ -561,9 +565,9 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     // emits tasks of one context consecutively, so a batch's tasks share
     // long base prefixes), and each worker walks between bases with
     // incremental push/pop on its thread-confined solver instead of
-    // rebuilding the stack per task. All workers share the concurrent
-    // verdict cache. Several batches per worker keep the pool's dynamic
-    // self-scheduling effective on uneven batch costs.
+    // rebuilding the stack per task. All workers share the verdict store.
+    // Several batches per worker keep the pool's dynamic self-scheduling
+    // effective on uneven batch costs.
     for (size_t i = 0; i < tasks_.size(); ++i) spliceTask(i);
     const size_t nBatches =
         std::min(tasks_.size(), static_cast<size_t>(width) * 8);
@@ -572,7 +576,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     solvers.reserve(static_cast<size_t>(width));
     for (int w = 0; w < width; ++w) {
       solvers.push_back(std::make_unique<smt::Solver>(*model_.atoms));
-      solvers.back()->attachCache(&cache);
+      solvers.back()->attachStore(checkStore);
       solvers.back()->setFastPathMode(opts_.fastpath);
       solvers.back()->setStepBudget(opts_.solverSteps);
       solvers.back()->setCancelToken(cancel);
@@ -623,7 +627,7 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     // the serial walk's exact work profile — skipped tasks are never
     // evaluated.
     smt::Solver solver(*model_.atoms);
-    solver.attachCache(&cache);
+    solver.attachStore(checkStore);
     solver.setFastPathMode(opts_.fastpath);
     solver.setStepBudget(opts_.solverSteps);
     solver.setCancelToken(cancel);
@@ -655,13 +659,6 @@ RegionVerdict QueryScheduler::run(support::TaskPool* pool,
     verdict.threadsUsed = 1;
     addSolverStats(solver);
   }
-
-  const smt::VerdictCache::CacheStats cs = cache.cacheStats();
-  verdict.cacheMemoryHits = cs.memoryHits;
-  verdict.cacheDiskHits = cs.diskHits;
-  verdict.cacheDiskStores = cs.diskStores;
-  verdict.cacheMemoryHitTiers = cs.memoryHitTiers;
-  verdict.cacheDiskHitTiers = cs.diskHitTiers;
 
   verdict.taskSeconds.reserve(results.size());
   for (const auto& r : results) verdict.taskSeconds.push_back(r.seconds);

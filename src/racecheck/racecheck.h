@@ -116,12 +116,6 @@ struct RegionRaceReport {
   /// cancellation — rather than by the structure of the query.
   long long degradedPairs = 0;
   double analysisSeconds = 0;
-
-  // Cross-run persistent-cache diagnostics (IO observables; never printed
-  // by describe(), surfaced via the CLI's -cache-stats).
-  long long cacheMemoryHits = 0;
-  long long cacheDiskHits = 0;
-  long long cacheDiskStores = 0;
 };
 
 /// Verdicts for every parallel region of a kernel.

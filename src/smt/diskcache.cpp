@@ -43,29 +43,24 @@ std::optional<CheckResult> parseVerdict(const std::string& tag) {
 
 }  // namespace
 
-PersistentVerdictStore::PersistentVerdictStore(std::string dir,
-                                               bool memoryLayer)
-    : dir_(std::move(dir)), memoryLayer_(memoryLayer) {
-  if (dir_.empty()) {
-    if (!memoryLayer_)
-      fail("a verdict store needs a directory, a memory layer, or both");
-    return;  // memory-only store: no filesystem involvement at all
-  }
+PersistentVerdictStore::PersistentVerdictStore(std::string dir)
+    : dir_(std::move(dir)) {
+  if (dir_.empty()) return;  // memory-only: no filesystem involvement
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec || !fs::is_directory(dir_, ec))
     fail("cache directory '" + dir_ + "' cannot be created: " + ec.message());
 }
 
-void PersistentVerdictStore::memoizeCheck(const ContentKey& key,
-                                          const VerdictCache::Entry& e) {
+bool PersistentVerdictStore::memoizeCheck(const ContentKey& key,
+                                          const VerdictEntry& e) {
   MemShard& shard = shardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
   auto [cur, inserted] = shard.checks.emplace(key, e);
-  // Upgrade rule mirrors VerdictCache::store: a complete verdict beats an
-  // exhausted one, and among exhausted ones the larger limit wins (it
-  // serves every budget the smaller one could).
-  if (!inserted && VerdictCache::upgrades(e, *cur)) *cur = e;
+  if (inserted) return true;
+  if (!VerdictEntry::upgrades(e, *cur)) return false;
+  *cur = e;
+  return true;
 }
 
 void PersistentVerdictStore::memoizeTask(const ContentKey& key,
@@ -146,39 +141,31 @@ std::optional<std::vector<std::string>> PersistentVerdictStore::readRecord(
   return std::nullopt;  // truncated: treat as absent, recompute
 }
 
-std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheck(
+std::optional<VerdictEntry> PersistentVerdictStore::loadCheck(
     const ContentKey& key, long long stepLimit) {
   return loadCheckImpl(key, stepLimit, /*countMiss=*/true);
 }
 
-std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheckImpl(
+std::optional<VerdictEntry> PersistentVerdictStore::loadCheckImpl(
     const ContentKey& key, long long stepLimit, bool countMiss) {
-  if (memoryLayer_) {
+  {
     MemShard& shard = shardFor(key);
-    std::optional<VerdictCache::Entry> hit;
-    {
-      std::lock_guard<std::mutex> lk(shard.mu);
-      const VerdictCache::Entry* e = shard.checks.find(key);
-      if (e != nullptr && VerdictCache::sufficientFor(*e, stepLimit)) hit = *e;
-    }
-    if (hit) {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    const VerdictEntry* e = shard.checks.find(key);
+    if (e != nullptr && VerdictEntry::sufficientFor(*e, stepLimit)) {
       checkHits_.fetch_add(1, std::memory_order_relaxed);
       checkMemHits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
-    }
-    // A guard-failing or absent memory entry falls through to disk: a
-    // concurrent run sharing the directory may have persisted an upgraded
-    // record the memory layer has not seen.
-    if (dir_.empty()) {
-      if (countMiss) checkMisses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
+      return *e;
     }
   }
-  auto payload = readRecord(key);
+  // A guard-failing or absent memory entry falls through to disk: a
+  // concurrent run sharing the directory may have persisted an upgraded
+  // record the memory layer has not seen.
+  auto payload = dir_.empty() ? std::nullopt : readRecord(key);
   if (payload && payload->size() == 1) {
     std::istringstream is((*payload)[0]);
     std::string tag, verdict;
-    VerdictCache::Entry e;
+    VerdictEntry e;
     int complete = -1;
     if (is >> tag >> verdict >> e.tier >> complete >> e.steps &&
         tag == "verdict" && (complete == 0 || complete == 1) && e.tier >= 0 &&
@@ -186,10 +173,10 @@ std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheckImpl(
       if (auto r = parseVerdict(verdict)) {
         e.result = *r;
         e.complete = complete != 0;
-        if (memoryLayer_) memoizeCheck(key, e);
+        memoizeCheck(key, e);
         // The budget-provenance guard governs disk entries exactly as it
         // governs memory ones.
-        if (VerdictCache::sufficientFor(e, stepLimit)) {
+        if (VerdictEntry::sufficientFor(e, stepLimit)) {
           checkHits_.fetch_add(1, std::memory_order_relaxed);
           return e;
         }
@@ -201,22 +188,22 @@ std::optional<VerdictCache::Entry> PersistentVerdictStore::loadCheckImpl(
 }
 
 void PersistentVerdictStore::storeCheck(const ContentKey& key,
-                                        const VerdictCache::Entry& e) {
-  if (memoryLayer_) memoizeCheck(key, e);
-  if (dir_.empty()) {
+                                        const VerdictEntry& e) {
+  // Only a new or stronger entry is recorded: the disk record a starved
+  // re-derivation would overwrite is at least as strong as `e`.
+  if (memoizeCheck(key, e)) {
+    if (!dir_.empty()) {
+      std::string payload = "verdict ";
+      payload += verdictTag(e.result);
+      payload += ' ';
+      payload += std::to_string(e.tier);
+      payload += e.complete ? " 1 " : " 0 ";
+      payload += std::to_string(e.steps);
+      payload += '\n';
+      writeRecord(key, payload);
+    }
     checkStores_.fetch_add(1, std::memory_order_relaxed);
-    resolveFlight(key);
-    return;
   }
-  std::string payload = "verdict ";
-  payload += verdictTag(e.result);
-  payload += ' ';
-  payload += std::to_string(e.tier);
-  payload += e.complete ? " 1 " : " 0 ";
-  payload += std::to_string(e.steps);
-  payload += '\n';
-  writeRecord(key, payload);
-  checkStores_.fetch_add(1, std::memory_order_relaxed);
   // Publishing resolves any in-flight claim for this key: joiners wake and
   // re-probe the layers the lines above just populated.
   resolveFlight(key);
@@ -230,9 +217,9 @@ namespace {
 bool taskSufficientFor(const PersistentVerdictStore::TaskRecord& rec,
                        long long stepLimit) {
   for (size_t i = 0; i < rec.tiers.size(); ++i) {
-    VerdictCache::Entry e{CheckResult::Unknown, rec.tiers[i],
-                          rec.exhausted[i] == 0, rec.steps[i]};
-    if (!VerdictCache::sufficientFor(e, stepLimit)) return false;
+    const VerdictEntry e{CheckResult::Unknown, rec.tiers[i],
+                         rec.exhausted[i] == 0, rec.steps[i]};
+    if (!VerdictEntry::sufficientFor(e, stepLimit)) return false;
   }
   return true;
 }
@@ -247,25 +234,17 @@ PersistentVerdictStore::loadTask(const ContentKey& key, long long stepLimit) {
 std::optional<PersistentVerdictStore::TaskRecord>
 PersistentVerdictStore::loadTaskImpl(const ContentKey& key,
                                      long long stepLimit, bool countMiss) {
-  if (memoryLayer_) {
+  {
     MemShard& shard = shardFor(key);
-    std::optional<TaskRecord> hit;
-    {
-      std::lock_guard<std::mutex> lk(shard.mu);
-      const TaskRecord* rec = shard.tasks.find(key);
-      if (rec != nullptr && taskSufficientFor(*rec, stepLimit)) hit = *rec;
-    }
-    if (hit) {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    const TaskRecord* rec = shard.tasks.find(key);
+    if (rec != nullptr && taskSufficientFor(*rec, stepLimit)) {
       taskHits_.fetch_add(1, std::memory_order_relaxed);
       taskMemHits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
-    }
-    if (dir_.empty()) {
-      if (countMiss) taskMisses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
+      return *rec;
     }
   }
-  auto payload = readRecord(key);
+  auto payload = dir_.empty() ? std::nullopt : readRecord(key);
   if (payload && !payload->empty()) {
     std::istringstream head((*payload)[0]);
     std::string tag;
@@ -290,15 +269,15 @@ PersistentVerdictStore::loadTaskImpl(const ContentKey& key,
         // derived identically under the caller's budget; then induction
         // over the probe sequence gives the same walk, same stopping
         // point, same verdict.
-        VerdictCache::Entry e{CheckResult::Unknown, tier, exhausted == 0,
-                              steps};
-        good = VerdictCache::sufficientFor(e, stepLimit);
+        const VerdictEntry e{CheckResult::Unknown, tier, exhausted == 0,
+                             steps};
+        good = VerdictEntry::sufficientFor(e, stepLimit);
         rec.tiers.push_back(tier);
         rec.exhausted.push_back(static_cast<char>(exhausted));
         rec.steps.push_back(steps);
       }
       if (good) {
-        if (memoryLayer_) memoizeTask(key, rec);
+        memoizeTask(key, rec);
         taskHits_.fetch_add(1, std::memory_order_relaxed);
         return rec;
       }
@@ -310,7 +289,7 @@ PersistentVerdictStore::loadTaskImpl(const ContentKey& key,
 
 void PersistentVerdictStore::storeTask(const ContentKey& key,
                                        const TaskRecord& rec) {
-  if (memoryLayer_) memoizeTask(key, rec);
+  memoizeTask(key, rec);
   if (dir_.empty()) {
     taskStores_.fetch_add(1, std::memory_order_relaxed);
     resolveFlight(key);

@@ -118,9 +118,9 @@ struct InternedConstraint {
 [[nodiscard]] bool canonicalLess(const InternedConstraint* a,
                                  const InternedConstraint* b);
 
-/// Thread-safe constraint-key interner (sharded). Owned by the persistent
-/// store, or by a VerdictCache / Solver that has none; every key compared
-/// against another must come from the same interner. Entries live as long
+/// Thread-safe constraint-key interner (sharded). Owned by the verdict
+/// store (PersistentVerdictStore); every key compared against another must
+/// come from the same interner. Entries live as long
 /// as the interner and never move.
 class ConstraintInterner {
  public:

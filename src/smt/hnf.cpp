@@ -12,7 +12,9 @@ namespace {
 using Wide = __int128;
 
 long long narrow(Wide v) {
-  FORMAD_ASSERT(v <= INT64_MAX && v >= INT64_MIN, "HNF coefficient overflow");
+  if (v > INT64_MAX || v < INT64_MIN)
+    throw ArithmeticOverflow(
+        "arithmetic overflow: an HNF coefficient exceeds 64 bits");
   return static_cast<long long>(v);
 }
 

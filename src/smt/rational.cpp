@@ -18,8 +18,9 @@ __int128 gcd128(__int128 a, __int128 b) {
 }
 
 long long narrow(__int128 v) {
-  FORMAD_ASSERT(v <= INT64_MAX && v >= INT64_MIN,
-                "rational arithmetic overflow");
+  if (v > INT64_MAX || v < INT64_MIN)
+    throw ArithmeticOverflow(
+        "arithmetic overflow: a coefficient exceeds 64 bits");
   return static_cast<long long>(v);
 }
 

@@ -2,13 +2,24 @@
 //
 // Coefficients stay tiny in FormAD's queries (array strides and offsets),
 // but Gaussian elimination can blow values up, so all intermediates use
-// 128-bit integers and overflow is checked, never silently wrapped.
+// 128-bit integers and overflow is checked, never silently wrapped: a
+// result outside 64 bits throws ArithmeticOverflow.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "support/diagnostics.h"
+
 namespace formad::smt {
+
+/// Thrown when an exact value leaves the 64-bit range. The solver turns it
+/// into Unknown (never Unsat, so the guard stays); every other caller
+/// reports it like any other formad::Error.
+class ArithmeticOverflow : public Error {
+ public:
+  using Error::Error;
+};
 
 class Rational {
  public:

@@ -20,134 +20,26 @@ std::string to_string(CheckResult r) {
   return "?";
 }
 
-namespace {
+Solver::Solver(AtomTable& atoms) : atoms_(atoms) {}
 
-void bumpTier(std::array<std::atomic<long long>, 3>& tiers, int tier) {
-  if (tier >= 0 && tier < 3)
-    tiers[static_cast<size_t>(tier)].fetch_add(1, std::memory_order_relaxed);
-}
+Solver::~Solver() = default;
 
-}  // namespace
-
-ConstraintInterner& VerdictCache::interner() {
-  return store_ != nullptr ? store_->interner() : interner_;
-}
-
-bool VerdictCache::memoize(const ContentKey& key, const Entry& e) {
-  Shard& s = shardFor(key);
-  std::lock_guard<std::mutex> lk(s.mu);
-  auto [cur, inserted] = s.map.emplace(key, e);
-  if (inserted) return true;
-  if (!upgrades(e, *cur)) return false;
-  *cur = e;
-  return true;
-}
-
-std::optional<VerdictCache::Entry> VerdictCache::lookup(
-    const ContentKey& key, long long stepLimit) {
-  {
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    const Entry* e = s.map.find(key);
-    if (e != nullptr && sufficientFor(*e, stepLimit)) {
-      memoryHits_.fetch_add(1, std::memory_order_relaxed);
-      bumpTier(memoryHitTiers_, e->tier);
-      return *e;
-    }
+PersistentVerdictStore& Solver::verdictStore() {
+  if (store_ == nullptr) {
+    ownStore_ = std::make_unique<PersistentVerdictStore>();
+    store_ = ownStore_.get();
   }
-  // Memory miss: consult the persistent store (IO outside the shard lock;
-  // the store applies the same sufficientFor guard) and memoize a hit so
-  // the rest of the run pays the disk read once per conjunction.
-  if (store_ != nullptr) {
-    if (auto e = store_->loadCheck(key, stepLimit)) {
-      diskHits_.fetch_add(1, std::memory_order_relaxed);
-      bumpTier(diskHitTiers_, e->tier);
-      memoize(key, *e);
-      return e;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  return *store_;
 }
 
-void VerdictCache::store(const ContentKey& key, CheckResult r, int tier,
-                         bool complete, long long steps) {
-  stores_.fetch_add(1, std::memory_order_relaxed);
-  const Entry e{r, tier, complete, steps};
-  // Write-through outside the shard lock; only new/upgraded entries hit
-  // the disk.
-  if (memoize(key, e) && store_ != nullptr) {
-    store_->storeCheck(key, e);
-    diskStores_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-VerdictCache::CheckFlight VerdictCache::claimCheck(
-    const ContentKey& key, long long stepLimit,
-    const support::CancelToken* cancel) {
-  CheckFlight out;
-  if (store_ == nullptr) return out;  // inert: caller computes, no claim
-  auto res = store_->claimCheck(key, stepLimit, cancel);
-  if (res.served) {
-    // A joined result is a store-layer hit: account and memoize it exactly
-    // like a disk hit in lookup(), so hit-rate diagnostics stay comparable.
-    diskHits_.fetch_add(1, std::memory_order_relaxed);
-    bumpTier(diskHitTiers_, res.served->tier);
-    memoize(key, *res.served);
-    out.served = *res.served;
-    return out;
-  }
-  out.claim = std::move(res.claim);
-  return out;
-}
-
-VerdictCache::CacheStats VerdictCache::cacheStats() const {
-  CacheStats cs;
-  cs.memoryHits = memoryHits_.load(std::memory_order_relaxed);
-  cs.diskHits = diskHits_.load(std::memory_order_relaxed);
-  cs.misses = misses_.load(std::memory_order_relaxed);
-  cs.stores = stores_.load(std::memory_order_relaxed);
-  cs.diskStores = diskStores_.load(std::memory_order_relaxed);
-  for (size_t t = 0; t < 3; ++t) {
-    cs.memoryHitTiers[t] = memoryHitTiers_[t].load(std::memory_order_relaxed);
-    cs.diskHitTiers[t] = diskHitTiers_[t].load(std::memory_order_relaxed);
-  }
-  return cs;
-}
-
-size_t VerdictCache::size() const {
-  size_t n = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lk(const_cast<std::mutex&>(s.mu));
-    n += s.map.size();
-  }
-  return n;
-}
-
-void VerdictCache::bind(const AtomTable* atoms) {
-  std::lock_guard<std::mutex> lk(bindMu_);
-  if (atoms_ == nullptr) {
-    atoms_ = atoms;
-    return;
-  }
-  // Keys are content-based, so this is not a soundness guard: it catches
-  // two analyses wired to one cache, whose hit counters and verdict
-  // diagnostics would then silently mix.
-  if (atoms_ != atoms)
-    fail("VerdictCache shared across distinct AtomTables: one cache serves "
-         "exactly one analysis");
-}
-
-void Solver::attachCache(VerdictCache* cache) {
-  if (cache != nullptr) cache->bind(&atoms_);
-  sharedCache_ = cache;
-  ConstraintInterner* next =
-      cache != nullptr ? &cache->interner() : &localInterner_;
-  if (next == interner_) return;
-  interner_ = next;
+void Solver::attachStore(PersistentVerdictStore* store) {
+  PersistentVerdictStore* before = store_;
+  store_ = store != nullptr ? store : ownStore_.get();
+  if (interned_.empty() || store_ == before) return;
   // Identities compare by handle, so a live stack moves to the new
   // interner (digests are content functions and do not change).
-  for (auto& k : interned_) k = interner_->intern(k->key);
+  ConstraintInterner& interner = verdictStore().interner();
+  for (auto& k : interned_) k = interner.intern(k->key);
   canonical_ = interned_;
   std::sort(canonical_.begin(), canonical_.end(), canonicalLess);
 }
@@ -174,7 +66,8 @@ void Solver::requireOwner() {
 
 void Solver::add(Constraint c) {
   requireOwner();
-  const InternedConstraint* k = interner_->intern(fp_.constraintKey(c));
+  const InternedConstraint* k =
+      verdictStore().interner().intern(fp_.constraintKey(c));
   interned_.push_back(k);
   canonical_.insert(
       std::upper_bound(canonical_.begin(), canonical_.end(), k, canonicalLess),
@@ -237,70 +130,45 @@ CheckResult Solver::check() {
       return CheckResult::Unknown;
     }
   }
-  ContentKey key = contentKey();
-  if (sharedCache_ != nullptr) {
-    if (auto cached = sharedCache_->lookup(key, stepLimit_)) {
-      ++stats_.cacheHits;
-      lastTier_ = cached->tier;
-      lastSteps_ = cached->steps;  // served provenance (see lastCheckSteps)
-      if (!cached->complete) {
-        lastBudgetExhausted_ = true;
-        ++stats_.budgetExhausted;
-      }
-      return cached->result;
-    }
-    // Single-flight gate (inert without an attached store): claim the
-    // conjunction before solving so concurrent duplicates — other workers,
-    // other sessions of a daemon — block and join this solve instead of
-    // re-paying it. A served claim is indistinguishable from the cache hit
-    // above (same counters, same provenance), keeping freshSolverChecks
-    // = checks - cacheHits meaningful under dedup; and if decide() unwinds
-    // (cancellation, deadline, injected fault), the claim's destructor
-    // unclaims so a joiner recomputes instead of hanging.
-    auto flight = sharedCache_->claimCheck(key, stepLimit_, cancel_);
-    if (flight.served) {
-      ++stats_.cacheHits;
-      lastTier_ = flight.served->tier;
-      lastSteps_ = flight.served->steps;
-      if (!flight.served->complete) {
-        lastBudgetExhausted_ = true;
-        ++stats_.budgetExhausted;
-      }
-      return flight.served->result;
-    }
-    CheckResult r = decide();
-    sharedCache_->store(key, r, lastTier_, !lastBudgetExhausted_,
-                        lastBudgetExhausted_ ? stepLimit_ : lastSteps_);
-    return r;
+  PersistentVerdictStore& store = verdictStore();
+  const ContentKey key = contentKey();
+  // Load, then claim: the single-flight claim makes concurrent duplicates
+  // (other workers, other sessions of a daemon) block and join this solve
+  // instead of re-paying it. A joined verdict counts like any other hit,
+  // keeping freshSolverChecks = checks - cacheHits meaningful; and if
+  // decide() unwinds (cancellation, deadline, injected fault), the claim's
+  // destructor unclaims so a joiner recomputes instead of hanging.
+  std::optional<VerdictEntry> served = store.loadCheck(key, stepLimit_);
+  FlightClaim claim;
+  if (!served) {
+    auto flight = store.claimCheck(key, stepLimit_, cancel_);
+    served = std::move(flight.served);
+    claim = std::move(flight.claim);
   }
-  VerdictCache::Entry* cached = verdictCache_.find(key);
-  if (cached != nullptr &&
-      VerdictCache::sufficientFor(*cached, stepLimit_)) {
+  if (served) {
     ++stats_.cacheHits;
-    lastTier_ = cached->tier;
-    lastSteps_ = cached->steps;
-    if (!cached->complete) {
+    lastTier_ = served->tier;
+    lastSteps_ = served->steps;  // served provenance (see lastCheckSteps)
+    if (!served->complete) {
       lastBudgetExhausted_ = true;
       ++stats_.budgetExhausted;
     }
-    return cached->result;
+    return served->result;
   }
-  CheckResult r = decide();
-  VerdictCache::Entry e{r, lastTier_, !lastBudgetExhausted_,
-                        lastBudgetExhausted_ ? stepLimit_ : lastSteps_};
-  if (cached != nullptr) {
-    // Insufficient entry found above: upgrade under the same policy as
-    // VerdictCache::store.
-    if (VerdictCache::upgrades(e, *cached)) *cached = e;
-  } else {
-    verdictCache_.emplace(std::move(key), e);
-  }
+  const CheckResult r = decide();
+  store.storeCheck(key, {r, lastTier_, !lastBudgetExhausted_,
+                         lastBudgetExhausted_ ? stepLimit_ : lastSteps_});
   return r;
 }
 
 CheckResult Solver::decide() {
   if (fastMode_ != FastPathMode::Off) {
-    FastDecision d = decideFast(atoms_, stack_, fastMode_, hints_);
+    FastDecision d;
+    try {
+      d = decideFast(atoms_, stack_, fastMode_, hints_);
+    } catch (const ArithmeticOverflow&) {
+      d = FastDecision{};  // undecided here: the full solve has the last word
+    }
     if (d.verdict != FastVerdict::Unknown) {
       lastTier_ = d.tier;
       if (d.tier == 0)
@@ -324,6 +192,12 @@ CheckResult Solver::decide() {
     lastSteps_ = budget_.used();
     lastBudgetExhausted_ = true;
     ++stats_.budgetExhausted;
+    return CheckResult::Unknown;
+  } catch (const ArithmeticOverflow&) {
+    // Values beyond 64 bits cannot be decided exactly; Unknown keeps the
+    // guard. Overflow is as deterministic as the step count, so the
+    // verdict is cached like any other.
+    lastSteps_ = budget_.used();
     return CheckResult::Unknown;
   }
 }
@@ -551,6 +425,8 @@ std::optional<Model> Solver::model() {
     // Witness search ran out of its step budget. No model means "unknown"
     // to every caller (never Unsat), so giving up here is sound.
     return std::nullopt;
+  } catch (const ArithmeticOverflow&) {
+    return std::nullopt;  // same reading: no witness, never Unsat
   }
 }
 
@@ -605,7 +481,8 @@ std::optional<Model> Solver::modelImpl() {
       __int128 v = sol->particular[c];
       for (size_t j = 0; j < latticeDims; ++j)
         v += static_cast<__int128>(t[j]) * sol->basis[j][c];
-      FORMAD_ASSERT(v <= INT64_MAX && v >= INT64_MIN, "model value overflow");
+      if (v > INT64_MAX || v < INT64_MIN)
+        throw ArithmeticOverflow("arithmetic overflow: model value");
       m[columns[c]] = static_cast<long long>(v);
     }
     for (size_t j = 0; j < freeAtoms.size(); ++j)

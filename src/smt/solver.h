@@ -19,14 +19,12 @@
 // conflicting" — the safe direction.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/budget.h"
@@ -35,7 +33,6 @@
 #include "smt/fingerprint.h"
 #include "smt/hnf.h"
 #include "smt/lia.h"
-#include "smt/singleflight.h"
 #include "smt/term.h"
 
 namespace formad::support {
@@ -87,165 +84,10 @@ struct FaultInject {
   long long throwAtCheck = 0;
 };
 
-/// A sharded, thread-safe verdict cache shared by the per-worker solvers of
-/// one parallel analysis. Keys are the ContentKeys of whole assertion
-/// stacks (Solver::contentKey), which cover the ENTIRE live stack —
-/// including assertions inside open push/pop scopes — so a verdict recorded
-/// under one scope can never be served for a different one. Keys are
-/// CONTENT-based (smt/fingerprint.h): two runs that build the same logical
-/// conjunction derive the same key no matter how their atom tables are
-/// laid out, which is what makes the optional disk layer (attachStore)
-/// meaningful.
-///
-/// The cache binds to the table of the first solver that attaches and
-/// rejects attachment from any other table (one cache = one analysis).
-class VerdictCache {
- public:
-  /// A cached verdict plus the decision tier (0/1 fast path, 2 full solve)
-  /// that first produced it. The tier is a pure function of the
-  /// conjunction (every decider is deterministic and order-independent),
-  /// so serving it with the verdict keeps per-tier accounting identical
-  /// at any pool width.
-  ///
-  /// Budget provenance: `complete` records whether the verdict finished
-  /// its solve; `steps` holds the deterministic step count it consumed
-  /// (complete) or the step limit it ran out at (incomplete). lookup()
-  /// only serves an entry to a solver whose budget would have produced
-  /// the same answer — so a budget-limited Unknown can never poison a
-  /// later run with a larger budget, and a large-budget verdict can never
-  /// leak into a run whose budget could not have afforded it.
-  struct Entry {
-    CheckResult result = CheckResult::Unknown;
-    int tier = 2;
-    bool complete = true;
-    long long steps = 0;
-  };
-
-  /// True iff a solver with per-check step budget `stepLimit` (<= 0 =
-  /// unlimited) would derive exactly this entry's verdict itself: a
-  /// complete verdict needs the budget to cover its step count; an
-  /// exhausted one needs a budget no larger than the one that ran out
-  /// (step counts are deterministic, so exhaustion is monotone in the
-  /// limit).
-  [[nodiscard]] static bool sufficientFor(const Entry& e, long long stepLimit) {
-    return e.complete ? (stepLimit <= 0 || e.steps <= stepLimit)
-                      : (stepLimit > 0 && stepLimit <= e.steps);
-  }
-
-  /// Returns the cached verdict, or nullopt on miss. An entry whose budget
-  /// provenance is insufficient for `stepLimit` counts as a miss (the
-  /// caller re-derives under its own budget; store() keeps the first
-  /// entry, which is fine — lookups are guarded, never trusted blindly).
-  /// On a memory miss with a persistent store attached, the store is
-  /// consulted (under the same budget guard) and a disk hit is memoized
-  /// in the shard map for the rest of the run.
-  [[nodiscard]] std::optional<Entry> lookup(const ContentKey& key,
-                                            long long stepLimit = 0);
-  /// Records a verdict. Concurrent stores of the same key are benign: every
-  /// solver derives the same verdict (and tier) for the same fingerprint
-  /// under the same budget, and cross-budget reuse is guarded in lookup().
-  /// With a persistent store attached, new or upgraded entries are written
-  /// through (outside the shard lock).
-  void store(const ContentKey& key, CheckResult r, int tier = 2,
-             bool complete = true, long long steps = 0);
-
-  /// Shared upgrade policy of every verdict layer: true when `e` covers
-  /// strictly more budgets than `cur` (a complete verdict over an exhausted
-  /// one, or an exhaustion at a larger limit). Serving is guarded by
-  /// sufficientFor, so this policy only affects hit rates, never verdicts.
-  [[nodiscard]] static bool upgrades(const Entry& e, const Entry& cur) {
-    return (e.complete && !cur.complete) ||
-           (!e.complete && !cur.complete && e.steps > cur.steps);
-  }
-
-  /// Attaches a disk-backed persistent store consulted on memory misses and
-  /// written through on stores (nullptr = detach). The store outlives the
-  /// cache and may be shared by many caches and runs concurrently. Attach
-  /// before any solver attaches: it switches the cache to the store's
-  /// interner.
-  void attachStore(PersistentVerdictStore* store) { store_ = store; }
-  [[nodiscard]] PersistentVerdictStore* attachedStore() const {
-    return store_;
-  }
-
-  /// Single-flight gate consulted by Solver::check() after a lookup miss.
-  /// With a store attached, delegates to PersistentVerdictStore::claimCheck:
-  /// either the winner's published entry is served (memoized in the shard
-  /// and counted like a disk hit), or the caller receives the owned claim
-  /// and must compute + store() (which publishes and resolves it). Without
-  /// a store this is inert — no served entry, no owned claim, no blocking —
-  /// so single-process runs keep their exact pre-existing behavior.
-  struct CheckFlight {
-    std::optional<Entry> served;
-    FlightClaim claim;
-  };
-  [[nodiscard]] CheckFlight claimCheck(const ContentKey& key,
-                                       long long stepLimit,
-                                       const support::CancelToken* cancel);
-
-  /// The interner this cache's keys are built from: the attached store's
-  /// (so store records and memory entries share identities), else the
-  /// cache's own.
-  [[nodiscard]] ConstraintInterner& interner();
-
-  [[nodiscard]] long long hits() const {
-    return memoryHits_.load(std::memory_order_relaxed) +
-           diskHits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] long long misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] size_t size() const;
-
-  /// Snapshot of the cache's own counters, split by layer and — for hits —
-  /// by the decision tier recorded with the served verdict. IO/timing
-  /// dependent diagnostics only: never folded into deterministic reports.
-  struct CacheStats {
-    long long memoryHits = 0;
-    long long diskHits = 0;    // served from the persistent store
-    long long misses = 0;      // not served by either layer
-    long long stores = 0;      // store() calls
-    long long diskStores = 0;  // entries written through to disk
-    std::array<long long, 3> memoryHitTiers{};
-    std::array<long long, 3> diskHitTiers{};
-  };
-  [[nodiscard]] CacheStats cacheStats() const;
-
- private:
-  friend class Solver;
-  /// Binds the cache to one AtomTable (first caller wins); throws
-  /// formad::Error if a solver over a different table tries to attach.
-  void bind(const AtomTable* atoms);
-
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    std::mutex mu;
-    ContentMap<Entry> map;
-  };
-  [[nodiscard]] Shard& shardFor(const ContentKey& key) {
-    return shards_[key.digest.hi % kShards];
-  }
-  /// Memoizes `e` under `key`, keeping the stronger entry (upgrades).
-  /// Returns true when the entry is new or upgraded.
-  bool memoize(const ContentKey& key, const Entry& e);
-
-  ConstraintInterner interner_;
-  std::array<Shard, kShards> shards_;
-  PersistentVerdictStore* store_ = nullptr;
-  std::atomic<long long> memoryHits_{0};
-  std::atomic<long long> diskHits_{0};
-  std::atomic<long long> misses_{0};
-  std::atomic<long long> stores_{0};
-  std::atomic<long long> diskStores_{0};
-  std::array<std::atomic<long long>, 3> memoryHitTiers_{};
-  std::array<std::atomic<long long>, 3> diskHitTiers_{};
-  std::mutex bindMu_;
-  const AtomTable* atoms_ = nullptr;  // guarded by bindMu_
-};
-
 class Solver {
  public:
-  explicit Solver(AtomTable& atoms) : atoms_(atoms) {}
+  explicit Solver(AtomTable& atoms);
+  ~Solver();
 
   void add(Constraint c);
   void push();
@@ -258,11 +100,12 @@ class Solver {
   /// assertion stack, but two layers of incrementality avoid repeated work
   /// across the many near-identical stacks FormAD's context-tree walk
   /// produces:
-  ///   - a verdict cache keyed on the stack's ContentKey (conjunctions are
-  ///     order-independent), so re-checking an already-decided conjunction
-  ///     is a map lookup;
+  ///   - the verdict store (attachStore) keyed on the stack's ContentKey
+  ///     (conjunctions are order-independent), so re-checking an
+  ///     already-decided conjunction is a map lookup;
   ///   - within one solve, each Ne constraint is reduced against the
   ///     equality system once and the residue reused by every later pass.
+  /// Arithmetic overflow while deciding is Unknown, never Unsat.
   [[nodiscard]] CheckResult check();
 
   /// Attempts to build a concrete integer model of the current conjunction
@@ -292,7 +135,7 @@ class Solver {
   struct Stats {
     long long assertionsAdded = 0;
     long long checks = 0;
-    long long cacheHits = 0;       // checks answered from the verdict cache
+    long long cacheHits = 0;       // checks answered from the verdict store
     long long fastpathTier0 = 0;   // checks decided by a tier-0 syntactic test
     long long fastpathTier1 = 0;   // checks decided by a tier-1 arithmetic test
     long long reduceCalls = 0;     // lia.reduce invocations actually made
@@ -326,7 +169,7 @@ class Solver {
   /// substitutions, congruence merges, HNF column ops, model-search
   /// candidates), so the verdict under a given budget is a pure function
   /// of the conjunction: byte-identical at any thread count. Survives
-  /// reset(), like the cache attachment.
+  /// reset(), like the store attachment.
   void setStepBudget(long long stepsPerCheck) { stepLimit_ = stepsPerCheck; }
   [[nodiscard]] long long stepBudget() const { return stepLimit_; }
 
@@ -370,16 +213,15 @@ class Solver {
 
   [[nodiscard]] AtomTable& atoms() { return atoms_; }
 
-  /// Shares a concurrent verdict cache with other solvers over the SAME
-  /// AtomTable (per-worker solvers of one parallel analysis). While
-  /// attached, check() consults the shared cache instead of the private
-  /// map, and keys intern through the cache's interner (a live stack is
-  /// re-interned). Pass nullptr to detach.
-  void attachCache(VerdictCache* cache);
+  /// Caches verdicts in `store` (shared with other solvers, schedulers and
+  /// runs; it must outlive the solver). Keys intern through the store's
+  /// interner, so a live stack is re-interned. Pass nullptr to go back to
+  /// the solver's own memory-only store, created on first use.
+  void attachStore(PersistentVerdictStore* store);
 
   /// Clears the assertion stack, open scopes, and the thread binding (so
   /// the solver may be adopted by another worker for the next task batch).
-  /// Stats and cache attachment survive.
+  /// Stats and the store attachment survive.
   void reset();
 
   /// ContentKey of the current conjunction (KeyKind::Check, carrying the
@@ -393,6 +235,8 @@ class Solver {
   /// the fallback. Records the decision tier in lastTier_.
   [[nodiscard]] CheckResult decide();
   [[nodiscard]] CheckResult solve();
+  /// The attached store, else the solver's own (created here on first use).
+  [[nodiscard]] PersistentVerdictStore& verdictStore();
   /// model() body; runs under the armed step budget (StepLimitReached is
   /// caught by the wrapper and rendered as "no witness found").
   [[nodiscard]] std::optional<Model> modelImpl();
@@ -414,13 +258,10 @@ class Solver {
   std::vector<const InternedConstraint*> canonical_;
   ContentDigest sum_;
   std::vector<size_t> marks_;
-  /// Interner and verdict map used while no shared cache is attached.
-  ConstraintInterner localInterner_;
-  ContentMap<VerdictCache::Entry> verdictCache_;
-  /// The interner stack keys are built from: the shared cache's while one
-  /// is attached, else localInterner_.
-  ConstraintInterner* interner_ = &localInterner_;
-  VerdictCache* sharedCache_ = nullptr;
+  /// The verdict store check() caches in, and the one the solver owns
+  /// while nothing is attached. Stack keys intern through store_.
+  PersistentVerdictStore* store_ = nullptr;
+  std::unique_ptr<PersistentVerdictStore> ownStore_;
   std::thread::id owner_{};
   FastPathMode fastMode_ = FastPathMode::Off;
   int lastTier_ = 2;

@@ -68,18 +68,24 @@ TEST(PersistentCache, EditReplayFuzzer) {
     const std::string edited = formad::testing::mutateIndexSite(cold, seed);
 
     TempDir dir("fuzz");
-    smt::PersistentVerdictStore store(dir.path.string());
-    driver::DriverOptions withStore;
-    withStore.verdictStore = &store;
-
-    (void)analyzeSource(cold, h.spec.independents, h.spec.dependents,
-                        withStore);
+    {
+      smt::PersistentVerdictStore store(dir.path.string());
+      driver::DriverOptions withStore;
+      withStore.verdictStore = &store;
+      (void)analyzeSource(cold, h.spec.independents, h.spec.dependents,
+                          withStore);
+    }
 
     driver::DriverOptions plain;
     const std::string want = reportOf(analyzeSource(
         edited, h.spec.independents, h.spec.dependents, plain));
     for (int threads : {1, 2, 4, 8}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
+      // A reopened store per warm run: it is served by the record files,
+      // not by the memory layer of an earlier run.
+      smt::PersistentVerdictStore reopened(dir.path.string());
+      driver::DriverOptions withStore;
+      withStore.verdictStore = &reopened;
       withStore.analysisThreads = threads;
       const auto warm = analyzeSource(edited, h.spec.independents,
                                       h.spec.dependents, withStore);
@@ -106,12 +112,16 @@ TEST(PersistentCache, BudgetStarvedEntriesNeverPoisonUnlimitedRuns) {
   const std::string want = reportOf(
       analyzeSource(spec.source, spec.independents, spec.dependents, plain));
 
+  // Later runs reopen the store, so they read the records on disk.
+  smt::PersistentVerdictStore reopened(dir.path.string());
   driver::DriverOptions unlimited;
-  unlimited.verdictStore = &store;
+  unlimited.verdictStore = &reopened;
   const auto warm = analyzeSource(spec.source, spec.independents,
                                   spec.dependents, unlimited);
   EXPECT_EQ(reportOf(warm), want);
   // And the unlimited pass back-fills the store: a THIRD run is fully warm.
+  smt::PersistentVerdictStore third(dir.path.string());
+  unlimited.verdictStore = &third;
   const auto warm2 = analyzeSource(spec.source, spec.independents,
                                    spec.dependents, unlimited);
   EXPECT_EQ(reportOf(warm2), want);
@@ -132,6 +142,9 @@ TEST(PersistentCache, WarmRunDoesZeroFreshWork) {
                                   spec.dependents, opts);
   EXPECT_GT(cold.analysis.tasksPersisted(), 0);
 
+  // The warm run reopens the store, so it is served by the record files.
+  smt::PersistentVerdictStore reopened(dir.path.string());
+  opts.verdictStore = &reopened;
   const auto warm = analyzeSource(spec.source, spec.independents,
                                   spec.dependents, opts);
   EXPECT_EQ(warm.analysis.freshSolverChecks(), 0);
@@ -146,9 +159,8 @@ TEST(PersistentCache, WarmRunDoesZeroFreshWork) {
                 cold.analysis.tasksJoined());
   EXPECT_EQ(reportOf(warm), reportOf(cold));
 
-  const auto s = store.stats();
-  EXPECT_EQ(s.taskStores, cold.analysis.tasksPersisted());
-  EXPECT_GE(s.taskHits, warm.analysis.tasksSpliced());
+  EXPECT_EQ(store.stats().taskStores, cold.analysis.tasksPersisted());
+  EXPECT_GE(reopened.stats().taskHits, warm.analysis.tasksSpliced());
 }
 
 // Without a store the analysis must be byte-identical to the seed

@@ -222,7 +222,7 @@ TEST(Fingerprint, SchedulerTaskKeysMatchFromScratchDerivation) {
       if (s.kind() != ir::StmtKind::For || !s.as<ir::For>().parallel) return;
       const auto model =
           core::buildRegionModel(*kernel, s.as<ir::For>(), syms, act);
-      smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+      smt::PersistentVerdictStore store;
       core::ExploitOptions opts;
       opts.store = &store;
       const core::QueryScheduler sched(model, opts);
@@ -254,17 +254,25 @@ TEST(Fingerprint, SchedulerTaskKeysMatchFromScratchDerivation) {
 
 TEST(DiskCache, CheckRecordRoundtripAndBudgetGuard) {
   TempDir dir("check");
+  // Every load goes through a freshly reopened store, so it reads the
+  // record file rather than the writer's memory layer.
+  auto load = [&](std::vector<std::string> conj, long long stepLimit) {
+    smt::PersistentVerdictStore reopened(dir.path.string());
+    return reopened.loadCheck(
+        contentKeyOf(reopened.interner(), smt::KeyKind::Check, conj),
+        stepLimit);
+  };
   smt::PersistentVerdictStore store(dir.path.string());
-  const auto key =
-      contentKeyOf(store.interner(), smt::KeyKind::Check, {"!1*i#0'+-1*i#0+0"});
+  const std::vector<std::string> conj = {"!1*i#0'+-1*i#0+0"};
+  const auto key = contentKeyOf(store.interner(), smt::KeyKind::Check, conj);
 
-  smt::VerdictCache::Entry complete{smt::CheckResult::Unsat, 2, true, 50};
+  smt::VerdictEntry complete{smt::CheckResult::Unsat, 2, true, 50};
   store.storeCheck(key, complete);
   // Complete verdict: served at any budget that covers its step count.
-  EXPECT_TRUE(store.loadCheck(key, 0).has_value());
-  EXPECT_TRUE(store.loadCheck(key, 50).has_value());
-  EXPECT_FALSE(store.loadCheck(key, 10).has_value());
-  auto e = store.loadCheck(key, 0);
+  EXPECT_TRUE(load(conj, 0).has_value());
+  EXPECT_TRUE(load(conj, 50).has_value());
+  EXPECT_FALSE(load(conj, 10).has_value());
+  auto e = load(conj, 0);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->result, smt::CheckResult::Unsat);
   EXPECT_EQ(e->tier, 2);
@@ -273,28 +281,71 @@ TEST(DiskCache, CheckRecordRoundtripAndBudgetGuard) {
 
   // Exhausted verdict: only served under a budget no larger than the one
   // that ran out — a starved Unknown must never poison an unlimited run.
-  const auto key2 = contentKeyOf(store.interner(), smt::KeyKind::Check,
-                                 {"!1*i#0'+-1*i#0+0", "x"});
-  smt::VerdictCache::Entry starved{smt::CheckResult::Unknown, 2, false, 100};
-  store.storeCheck(key2, starved);
-  EXPECT_TRUE(store.loadCheck(key2, 100).has_value());
-  EXPECT_TRUE(store.loadCheck(key2, 50).has_value());
-  EXPECT_FALSE(store.loadCheck(key2, 200).has_value());
-  EXPECT_FALSE(store.loadCheck(key2, 0).has_value());
+  const std::vector<std::string> conj2 = {"!1*i#0'+-1*i#0+0", "x"};
+  smt::VerdictEntry starved{smt::CheckResult::Unknown, 2, false, 100};
+  store.storeCheck(contentKeyOf(store.interner(), smt::KeyKind::Check, conj2),
+                   starved);
+  EXPECT_TRUE(load(conj2, 100).has_value());
+  EXPECT_TRUE(load(conj2, 50).has_value());
+  EXPECT_FALSE(load(conj2, 200).has_value());
+  EXPECT_FALSE(load(conj2, 0).has_value());
+}
+
+// A starved solver re-deriving a conjunction whose complete record is on
+// disk must leave that record complete: storeCheck writes only entries that
+// are new or stronger than what the store holds, so a reopened store still
+// serves the complete verdict to an unlimited solver.
+TEST(DiskCache, StarvedRederivationKeepsTheCompleteRecord) {
+  TempDir dir("starved");
+  smt::AtomTable atoms;
+  std::vector<smt::AtomId> v;
+  for (int k = 0; k < 4; ++k)
+    v.push_back(atoms.internVar("v" + std::to_string(k), 0, false));
+  // a = b = c = d with 4a == 10: truly Unsat, after several pivot steps.
+  auto addChain = [&](smt::Solver& s) {
+    using smt::Constraint;
+    using smt::LinExpr;
+    s.add(Constraint::eq(LinExpr::atom(v[0]), LinExpr::atom(v[1])));
+    s.add(Constraint::eq(LinExpr::atom(v[1]), LinExpr::atom(v[2])));
+    s.add(Constraint::eq(LinExpr::atom(v[2]), LinExpr::atom(v[3])));
+    s.add(Constraint::eq(LinExpr::atom(v[0]) + LinExpr::atom(v[1]) +
+                             LinExpr::atom(v[2]) + LinExpr::atom(v[3]),
+                         LinExpr(smt::Rational(10))));
+  };
+  auto run = [&](long long stepLimit) {
+    smt::PersistentVerdictStore store(dir.path.string());
+    smt::Solver s(atoms);
+    s.attachStore(&store);
+    s.setStepBudget(stepLimit);
+    addChain(s);
+    const smt::CheckResult r = s.check();
+    return std::make_pair(r, s.stats().cacheHits);
+  };
+
+  EXPECT_EQ(run(0), std::make_pair(smt::CheckResult::Unsat, 0LL));
+  // The starved run reads the complete record (insufficient for its
+  // budget), re-derives an exhausted Unknown, and must not persist it.
+  EXPECT_EQ(run(1), std::make_pair(smt::CheckResult::Unknown, 0LL));
+  EXPECT_EQ(run(0), std::make_pair(smt::CheckResult::Unsat, 1LL));
 }
 
 TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
   TempDir dir("task");
-  smt::PersistentVerdictStore store(dir.path.string());
-  const auto key = contentKeyOf(store.interner(), smt::KeyKind::Pair,
-                                {"!1*i#0'+-1*i#0+0"}, {"=1*q#0+0"});
-
   smt::PersistentVerdictStore::TaskRecord rec;
   rec.pairSafe = true;
   rec.tiers = {2, 0};
   rec.exhausted = {0, 0};
   rec.steps = {40, 1};
-  store.storeTask(key, rec);
+  {
+    smt::PersistentVerdictStore writer(dir.path.string());
+    writer.storeTask(contentKeyOf(writer.interner(), smt::KeyKind::Pair,
+                                  {"!1*i#0'+-1*i#0+0"}, {"=1*q#0+0"}),
+                     rec);
+  }
+  // Read back through a reopened store: the loads hit the record file.
+  smt::PersistentVerdictStore store(dir.path.string());
+  const auto key = contentKeyOf(store.interner(), smt::KeyKind::Pair,
+                                {"!1*i#0'+-1*i#0+0"}, {"=1*q#0+0"});
 
   auto got = store.loadTask(key, 0);
   ASSERT_TRUE(got.has_value());
@@ -327,25 +378,25 @@ TEST(DiskCache, TaskRecordRoundtripVerifiesFullKey) {
 // identity is checked on every digest hit, and colliding keys live side
 // by side as separate entries.
 TEST(ContentKeyCollision, VerdictCacheMissesAndKeepsBoth) {
-  smt::VerdictCache cache;
+  smt::PersistentVerdictStore store;
   const auto a =
-      contentKeyOf(cache.interner(), smt::KeyKind::Check, {"=1*i#0+0"});
+      contentKeyOf(store.interner(), smt::KeyKind::Check, {"=1*i#0+0"});
   const auto b = withDigest(
-      contentKeyOf(cache.interner(), smt::KeyKind::Check, {"=1*j#0+0"}),
+      contentKeyOf(store.interner(), smt::KeyKind::Check, {"=1*j#0+0"}),
       a.digest);
   ASSERT_NE(a, b);
-  cache.store(a, smt::CheckResult::Unsat, 2, true, 5);
-  EXPECT_FALSE(cache.lookup(b).has_value());
-  cache.store(b, smt::CheckResult::Sat, 1, true, 3);
-  ASSERT_TRUE(cache.lookup(a).has_value());
-  EXPECT_EQ(cache.lookup(a)->result, smt::CheckResult::Unsat);
-  ASSERT_TRUE(cache.lookup(b).has_value());
-  EXPECT_EQ(cache.lookup(b)->result, smt::CheckResult::Sat);
-  EXPECT_EQ(cache.size(), 2u);
+  store.storeCheck(a, {smt::CheckResult::Unsat, 2, true, 5});
+  EXPECT_FALSE(store.loadCheck(b, 0).has_value());
+  store.storeCheck(b, {smt::CheckResult::Sat, 1, true, 3});
+  ASSERT_TRUE(store.loadCheck(a, 0).has_value());
+  EXPECT_EQ(store.loadCheck(a, 0)->result, smt::CheckResult::Unsat);
+  ASSERT_TRUE(store.loadCheck(b, 0).has_value());
+  EXPECT_EQ(store.loadCheck(b, 0)->result, smt::CheckResult::Sat);
+  EXPECT_EQ(store.stats().checkStores, 2);
 }
 
 TEST(ContentKeyCollision, StoreMemoryLayerMissesAndKeepsBoth) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store;
   const auto a =
       contentKeyOf(store.interner(), smt::KeyKind::Check, {"=1*i#0+0"});
   const auto b = withDigest(
@@ -434,11 +485,31 @@ TEST(DiskCache, VersionOneRecordsAreACleanMiss) {
 
 TEST(DiskCache, CorruptAndTruncatedFilesFallThrough) {
   TempDir dir("corrupt");
-  smt::PersistentVerdictStore store(dir.path.string());
-  const auto key =
-      contentKeyOf(store.interner(), smt::KeyKind::Check, {"!1*i#0'+-1*i#0+0"});
-  store.storeCheck(key, {smt::CheckResult::Unsat, 2, true, 5});
-  ASSERT_TRUE(store.loadCheck(key, 0).has_value());
+  const std::vector<std::string> conj = {"!1*i#0'+-1*i#0+0"};
+  // One reader store per probe, so every load reads the file as it is now
+  // rather than a memory entry of an earlier load.
+  smt::PersistentVerdictStore::Stats s;
+  auto load = [&]() {
+    smt::PersistentVerdictStore reopened(dir.path.string());
+    const bool hit =
+        reopened
+            .loadCheck(contentKeyOf(reopened.interner(), smt::KeyKind::Check,
+                                    conj),
+                       0)
+            .has_value();
+    s.checkHits += reopened.stats().checkHits;
+    s.checkMisses += reopened.stats().checkMisses;
+    return hit;
+  };
+  auto write = [&]() {
+    smt::PersistentVerdictStore writer(dir.path.string());
+    writer.storeCheck(
+        contentKeyOf(writer.interner(), smt::KeyKind::Check, conj),
+        {smt::CheckResult::Unsat, 2, true, 5});
+    s.checkStores += writer.stats().checkStores;
+  };
+  write();
+  ASSERT_TRUE(load());
 
   fs::path file;
   for (const auto& e : fs::directory_iterator(dir.path)) file = e.path();
@@ -455,24 +526,23 @@ TEST(DiskCache, CorruptAndTruncatedFilesFallThrough) {
     std::ofstream out(file, std::ios::binary | std::ios::trunc);
     out << whole.substr(0, whole.size() - 3);
   }
-  EXPECT_FALSE(store.loadCheck(key, 0).has_value());
+  EXPECT_FALSE(load());
 
   // Corrupt: garbage body under the right name.
   {
     std::ofstream out(file, std::ios::binary | std::ios::trunc);
     out << "not a record at all";
   }
-  EXPECT_FALSE(store.loadCheck(key, 0).has_value());
+  EXPECT_FALSE(load());
 
   // Empty file.
   { std::ofstream out(file, std::ios::binary | std::ios::trunc); }
-  EXPECT_FALSE(store.loadCheck(key, 0).has_value());
+  EXPECT_FALSE(load());
 
   // Recovery: a rewrite heals the slot.
-  store.storeCheck(key, {smt::CheckResult::Unsat, 2, true, 5});
-  EXPECT_TRUE(store.loadCheck(key, 0).has_value());
+  write();
+  EXPECT_TRUE(load());
 
-  const auto s = store.stats();
   EXPECT_EQ(s.checkStores, 2);
   EXPECT_EQ(s.checkHits, 2);
   EXPECT_EQ(s.checkMisses, 3);

@@ -8,7 +8,7 @@
 //     and cancelled pairs keep atomic adjoints / undecided race pairs,
 //     and the generated adjoint stays numerically correct;
 //   - a budget-limited Unknown can never poison a larger-budget run
-//     through the shared verdict cache;
+//     through the shared verdict store;
 //   - a task exception or fired deadline cancels the rest of a pool run
 //     cooperatively — no hang, no half-merged state;
 //   - with everything at its default (unlimited) setting the reports are
@@ -30,6 +30,7 @@
 #include "helpers.h"
 #include "kernels/stencil.h"
 #include "smt/budget.h"
+#include "smt/diskcache.h"
 #include "smt/solver.h"
 #include "support/cancel.h"
 #include "support/diagnostics.h"
@@ -107,26 +108,26 @@ TEST(StepBudget, PollsCancelTokenPeriodically) {
       Cancelled);
 }
 
-// ------------------------------------------------------------ VerdictCache
+// ------------------------------------------------------------ VerdictEntry
 
 TEST(VerdictCacheBudget, SufficiencyGuardSemantics) {
-  using Entry = smt::VerdictCache::Entry;
+  using Entry = smt::VerdictEntry;
   // Complete verdict that consumed 10 steps: serveable to any budget that
   // could have afforded the solve.
   Entry complete{smt::CheckResult::Unsat, 2, /*complete=*/true, /*steps=*/10};
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(complete, 0));    // unlimited
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(complete, 10));
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(complete, 1000));
-  EXPECT_FALSE(smt::VerdictCache::sufficientFor(complete, 9));
+  EXPECT_TRUE(Entry::sufficientFor(complete, 0));    // unlimited
+  EXPECT_TRUE(Entry::sufficientFor(complete, 10));
+  EXPECT_TRUE(Entry::sufficientFor(complete, 1000));
+  EXPECT_FALSE(Entry::sufficientFor(complete, 9));
 
   // Exhausted at limit 10: any limit <= 10 exhausts too (steps are
   // deterministic), but a larger or unlimited budget must re-derive.
   Entry exhausted{smt::CheckResult::Unknown, 2, /*complete=*/false,
                   /*steps=*/10};
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(exhausted, 10));
-  EXPECT_TRUE(smt::VerdictCache::sufficientFor(exhausted, 5));
-  EXPECT_FALSE(smt::VerdictCache::sufficientFor(exhausted, 11));
-  EXPECT_FALSE(smt::VerdictCache::sufficientFor(exhausted, 0));  // unlimited
+  EXPECT_TRUE(Entry::sufficientFor(exhausted, 10));
+  EXPECT_TRUE(Entry::sufficientFor(exhausted, 5));
+  EXPECT_FALSE(Entry::sufficientFor(exhausted, 11));
+  EXPECT_FALSE(Entry::sufficientFor(exhausted, 0));  // unlimited
 }
 
 /// A conjunction whose full solve needs several pivot steps and is truly
@@ -148,21 +149,21 @@ TEST(VerdictCacheBudget, ExhaustedEntryNeverPoisonsLargerBudget) {
   std::vector<smt::AtomId> v;
   for (int k = 0; k < 4; ++k)
     v.push_back(atoms.internVar("v" + std::to_string(k), 0, false));
-  smt::VerdictCache cache;
+  smt::PersistentVerdictStore store;
 
   // Starved solver: one step is not enough for the pivot chain.
   smt::Solver starved(atoms);
-  starved.attachCache(&cache);
+  starved.attachStore(&store);
   starved.setStepBudget(1);
   addChain(starved, v);
   EXPECT_EQ(starved.check(), smt::CheckResult::Unknown);
   EXPECT_TRUE(starved.lastCheckBudgetExhausted());
   EXPECT_EQ(starved.stats().budgetExhausted, 1);
 
-  // Unlimited solver over the same cache and conjunction: the exhausted
+  // Unlimited solver over the same store and conjunction: the exhausted
   // entry is budget-insufficient, so it re-derives the real verdict.
   smt::Solver full(atoms);
-  full.attachCache(&cache);
+  full.attachStore(&store);
   addChain(full, v);
   EXPECT_EQ(full.check(), smt::CheckResult::Unsat);
   EXPECT_FALSE(full.lastCheckBudgetExhausted());
@@ -171,14 +172,14 @@ TEST(VerdictCacheBudget, ExhaustedEntryNeverPoisonsLargerBudget) {
   // unlimited solver now hits the upgraded complete verdict — either way
   // the answers match what each budget would derive on its own.
   smt::Solver starved2(atoms);
-  starved2.attachCache(&cache);
+  starved2.attachStore(&store);
   starved2.setStepBudget(1);
   addChain(starved2, v);
   EXPECT_EQ(starved2.check(), smt::CheckResult::Unknown);
   EXPECT_TRUE(starved2.lastCheckBudgetExhausted());
 
   smt::Solver full2(atoms);
-  full2.attachCache(&cache);
+  full2.attachStore(&store);
   addChain(full2, v);
   EXPECT_EQ(full2.check(), smt::CheckResult::Unsat);
 }
@@ -189,8 +190,8 @@ TEST(SolverBudget, PrivateCacheHonorsTheSameGuard) {
   for (int k = 0; k < 4; ++k)
     v.push_back(atoms.internVar("v" + std::to_string(k), 0, false));
 
-  // One solver, no shared cache: starve a check, then lift the budget.
-  // The private verdict map must re-derive instead of replaying Unknown.
+  // One solver, no shared store: starve a check, then lift the budget.
+  // The solver's own store must re-derive instead of replaying Unknown.
   smt::Solver s(atoms);
   s.setStepBudget(1);
   addChain(s, v);

@@ -245,6 +245,51 @@ TEST(ServerProtocol, OutOfRangeLiteralIsAKernelError) {
   }
 }
 
+// Index coefficients near 2^62 overflow exact 64-bit arithmetic. Inside a
+// solver check that is an Unknown (the guard stays, never SAFE); during
+// index lowering it is a located kernel error. Either way the daemon
+// answers the request and keeps serving.
+TEST(ServerProtocol, ArithmeticOverflowNeverKillsTheDaemon) {
+  AnalysisServer daemon(ServeOptions{});
+  const std::string head =
+      "kernel k(n: int in, x: real[] in, v: real[] inout) {\n"
+      "  parallel for i = 0 : n - 1 {\n";
+  kernels::KernelSpec spec;
+  spec.name = "overflow";
+  spec.independents = {"x"};
+  spec.dependents = {"v"};
+  const std::string stats = R"({"id":"s","op":"stats"})";
+
+  spec.source = head +
+                "    v[4611686018427387904*i+3] = x[i] + "
+                "x[4611686018427387904*i+1];\n  }\n}\n";
+  JsonValue solved = parse(daemon.process(analyzeFrame(spec)));
+  EXPECT_TRUE(okOf(solved));
+  EXPECT_NE(stringField(solved, "report").find("x: UNSAFE"),
+            std::string::npos);
+  EXPECT_TRUE(okOf(parse(daemon.process(stats))));
+
+  spec.source = head + "    v[4611686018427387904*4*i] = x[i];\n  }\n}\n";
+  JsonValue lowered = parse(daemon.process(analyzeFrame(spec)));
+  EXPECT_FALSE(okOf(lowered));
+  EXPECT_EQ(errorCodeOf(lowered), "kernel_error");
+  EXPECT_NE(daemon.process(analyzeFrame(spec))
+                .find("3:5: arithmetic overflow"),
+            std::string::npos);
+  EXPECT_TRUE(okOf(parse(daemon.process(stats))));
+
+  // Overflow while forming a question (offsets 2^63-1 apart) is located
+  // at the parallel loop.
+  spec.source = head +
+                "    v[9223372036854775807*i + 9223372036854775807] = "
+                "v[9223372036854775807*i - 9223372036854775807] + x[i];\n"
+                "  }\n}\n";
+  const std::string question = daemon.process(analyzeFrame(spec));
+  EXPECT_EQ(errorCodeOf(parse(question)), "kernel_error");
+  EXPECT_NE(question.find("2:3: arithmetic overflow"), std::string::npos);
+  EXPECT_TRUE(okOf(parse(daemon.process(stats))));
+}
+
 TEST(ServerProtocol, BadRequestStillEchoesTheId) {
   AnalysisServer daemon(ServeOptions{});
   JsonValue r = parse(daemon.process(R"({"id":"req-9","op":"noop"})"));
@@ -469,10 +514,12 @@ TEST(ServerGovernance, StarvedRequestDegradesOnlyItself) {
 TEST(ServerGovernance, InjectedFaultsStayPerRequest) {
   const kernels::KernelSpec spec = kernels::stencilSpec(2);
   const std::string clean = analyzeFrame(spec, R"({"fastpath":"off"})");
-  const std::string unknownFault =
-      analyzeFrame(spec, R"({"fastpath":"off","fault_unknown_at":1})");
-  const std::string throwFault =
-      analyzeFrame(spec, R"({"fastpath":"off","fault_throw_at":1})");
+  // Width 1: which check faults is scheduling-dependent under a parallel
+  // analysis (see smt::FaultInject), and these assertions name check 1.
+  const std::string unknownFault = analyzeFrame(
+      spec, R"({"fastpath":"off","fault_unknown_at":1,"threads":1})");
+  const std::string throwFault = analyzeFrame(
+      spec, R"({"fastpath":"off","fault_throw_at":1,"threads":1})");
 
   std::string reference;
   {

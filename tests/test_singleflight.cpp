@@ -148,8 +148,8 @@ smt::ContentKey checkKey(smt::PersistentVerdictStore& store,
   return contentKeyOf(store.interner(), smt::KeyKind::Check, {constraint});
 }
 
-smt::VerdictCache::Entry unsatEntry() {
-  smt::VerdictCache::Entry e;
+smt::VerdictEntry unsatEntry() {
+  smt::VerdictEntry e;
   e.result = smt::CheckResult::Unsat;
   e.tier = 2;
   e.complete = true;
@@ -158,14 +158,14 @@ smt::VerdictCache::Entry unsatEntry() {
 }
 
 TEST(SingleFlight, JoinerIsServedTheWinnersPublishedVerdict) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store;
   const auto key = checkKey(store, "a=b");
 
   auto winner = store.claimCheck(key, 0, nullptr);
   ASSERT_FALSE(winner.served.has_value());
   ASSERT_TRUE(winner.claim.owned());
 
-  std::optional<smt::VerdictCache::Entry> joined;
+  std::optional<smt::VerdictEntry> joined;
   std::thread joiner([&] {
     auto c = store.claimCheck(key, 0, nullptr);
     // Whether this thread blocked on the claim or probed after the publish
@@ -187,7 +187,7 @@ TEST(SingleFlight, JoinerIsServedTheWinnersPublishedVerdict) {
 }
 
 TEST(SingleFlight, FailedWinnerUnclaimsAndAJoinerRecomputes) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store;
   const auto key = checkKey(store, "fails");
 
   std::optional<smt::PersistentVerdictStore::CheckClaim> winner(
@@ -217,7 +217,7 @@ TEST(SingleFlight, FailedWinnerUnclaimsAndAJoinerRecomputes) {
 }
 
 TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store;
   const auto key = checkKey(store, "starved");
 
   auto winner = store.claimCheck(key, /*stepLimit=*/5, nullptr);
@@ -233,7 +233,7 @@ TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
     EXPECT_FALSE(c.served.has_value());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  smt::VerdictCache::Entry starved;
+  smt::VerdictEntry starved;
   starved.result = smt::CheckResult::Unknown;
   starved.tier = 2;
   starved.complete = false;
@@ -248,7 +248,7 @@ TEST(SingleFlight, BudgetInsufficientPublishPromotesTheJoiner) {
 }
 
 TEST(SingleFlight, WaitingJoinerHonorsCancellation) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store;
   const auto key = checkKey(store, "stalled");
   auto winner = store.claimCheck(key, 0, nullptr);
   ASSERT_TRUE(winner.claim.owned());
@@ -264,7 +264,7 @@ TEST(SingleFlight, WaitingJoinerHonorsCancellation) {
 }
 
 TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store;
   const auto key = contentKeyOf(store.interner(), smt::KeyKind::Pair,
                                 {"base"}, {"probe1", "probe2"});
 
@@ -297,7 +297,7 @@ TEST(SingleFlight, TaskClaimsJoinAndUnclaimLikeCheckClaims) {
 // second claims at once instead of joining (or waiting on) the first, and
 // each publish serves only its own key.
 TEST(SingleFlight, DigestCollisionClaimsSeparately) {
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store;
   const auto a = checkKey(store, "=1*i#0+0");
   const auto b = withDigest(checkKey(store, "=1*j#0+0"), a.digest);
   ASSERT_NE(a, b);
@@ -312,7 +312,7 @@ TEST(SingleFlight, DigestCollisionClaimsSeparately) {
   EXPECT_FALSE(cb.served.has_value());
   store.storeCheck(a, unsatEntry());
   EXPECT_FALSE(store.loadCheck(b, 0).has_value());
-  smt::VerdictCache::Entry sat = unsatEntry();
+  smt::VerdictEntry sat = unsatEntry();
   sat.result = smt::CheckResult::Sat;
   store.storeCheck(b, sat);
   EXPECT_EQ(store.loadCheck(a, 0)->result, smt::CheckResult::Unsat);
@@ -356,7 +356,7 @@ Analyzed analyzeStencil(smt::PersistentVerdictStore* store) {
 
 TEST(SingleFlight, ConcurrentIdenticalAnalysesDoOneColdRunOfFreshWork) {
   // Reference: one serial cold run on a private store.
-  smt::PersistentVerdictStore refStore("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore refStore;
   const Analyzed ref = analyzeStencil(&refStore);
   const std::string refReport = reportOf(ref);
   const long long uniqueTasks = ref.analysis.tasksPersisted();
@@ -365,7 +365,7 @@ TEST(SingleFlight, ConcurrentIdenticalAnalysesDoOneColdRunOfFreshWork) {
   ASSERT_GT(uniqueChecks, 0);
 
   // 8 threads race the identical analysis against one cold shared store.
-  smt::PersistentVerdictStore store("", /*memoryLayer=*/true);
+  smt::PersistentVerdictStore store;
   constexpr int kRuns = 8;
   std::vector<Analyzed> runs(kRuns);
   std::vector<std::thread> threads;

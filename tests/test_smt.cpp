@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "smt/diskcache.h"
 #include "smt/fastpath.h"
 #include "smt/solver.h"
 #include "support/diagnostics.h"
@@ -53,6 +54,36 @@ TEST(Rational, GcdLcmHelpers) {
   EXPECT_EQ(gcd64(0, 5), 5);
   EXPECT_EQ(lcm64(4, 6), 12);
   EXPECT_EQ(lcm64(1, 7), 7);
+}
+
+TEST(Rational, OverflowIsATypedError) {
+  const Rational big(INT64_MAX);
+  EXPECT_THROW((void)(big + Rational(1)), ArithmeticOverflow);
+  EXPECT_THROW((void)(big * Rational(2)), ArithmeticOverflow);
+  EXPECT_THROW((void)(-Rational(INT64_MIN)), ArithmeticOverflow);
+  EXPECT_THROW((void)lcm64(INT64_MAX, INT64_MAX - 1), ArithmeticOverflow);
+}
+
+// Overflow is never Unsat: x = 2^62 * y with y = 4 has the integer
+// solution x = 2^64, which exact 64-bit arithmetic cannot represent. Every
+// fast-path mode answers Unknown (the guard stays), no witness is claimed,
+// and a repeat check is served the same Unknown.
+TEST(SolverOverflow, OverflowIsUnknownNeverUnsat) {
+  for (FastPathMode mode :
+       {FastPathMode::Off, FastPathMode::Syntactic, FastPathMode::Full}) {
+    AtomTable atoms;
+    const AtomId x = atoms.internVar("x", 0, false);
+    const AtomId y = atoms.internVar("y", 0, false);
+    Solver s(atoms);
+    s.setFastPathMode(mode);
+    s.add(Constraint::eq(LinExpr::atom(x),
+                         LinExpr::atom(y, Rational(4611686018427387904LL))));
+    s.add(Constraint::eq(LinExpr::atom(y), LinExpr(Rational(4))));
+    EXPECT_EQ(s.check(), CheckResult::Unknown) << to_string(mode);
+    EXPECT_FALSE(s.model().has_value()) << to_string(mode);
+    EXPECT_EQ(s.check(), CheckResult::Unknown) << to_string(mode);
+    EXPECT_EQ(s.stats().cacheHits, 1) << to_string(mode);
+  }
 }
 
 // ---------------------------------------------------------------- LinExpr
@@ -755,11 +786,11 @@ TEST_F(SolverTest, CacheNeverServesStaleScopedVerdict) {
   EXPECT_EQ(solver.stats().cacheHits, hitsBefore + 1);
 }
 
-// The same property through a shared VerdictCache (the concurrent cache
-// worker solvers attach during parallel exploitation).
+// The same property through a shared verdict store (the store worker
+// solvers attach during parallel exploitation).
 TEST_F(SolverTest, SharedCacheNeverServesStaleScopedVerdict) {
-  VerdictCache cache;
-  solver.attachCache(&cache);
+  PersistentVerdictStore store;
+  solver.attachStore(&store);
   solver.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
   ASSERT_EQ(solver.check(), CheckResult::Sat);
   solver.push();
@@ -769,9 +800,9 @@ TEST_F(SolverTest, SharedCacheNeverServesStaleScopedVerdict) {
   EXPECT_EQ(solver.check(), CheckResult::Sat);
 
   // A second solver over the same AtomTable replays all three verdicts
-  // from the shared cache without solving.
+  // from the shared store without solving.
   Solver other(atoms);
-  other.attachCache(&cache);
+  other.attachStore(&store);
   other.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
   EXPECT_EQ(other.check(), CheckResult::Sat);
   other.push();
@@ -786,12 +817,12 @@ TEST_F(SolverTest, SharedCacheNeverServesStaleScopedVerdict) {
 // constraints asserted in a different order is the same cache entry.
 TEST_F(SolverTest, StackKeyIsOrderIndependent) {
   AtomId ci = atoms.internUF("c", {LinExpr::atom(i)});
-  // Two solvers on one cache share its interner, so their keys compare
+  // Two solvers on one store share its interner, so their keys compare
   // exactly (digest and identity).
-  VerdictCache cache;
+  PersistentVerdictStore store;
   Solver a(atoms), b(atoms);
-  a.attachCache(&cache);
-  b.attachCache(&cache);
+  a.attachStore(&store);
+  b.attachStore(&store);
   a.add(Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i)));
   a.add(Constraint::le(LinExpr::atom(ci), LinExpr(Rational(8))));
   b.add(Constraint::le(LinExpr::atom(ci), LinExpr(Rational(8))));
@@ -813,10 +844,10 @@ TEST_F(SolverTest, StackKeyIsOrderIndependent) {
 // The O(1) add/pop maintenance of the stack key matches the key of the
 // same stack built afresh, across pops, re-pushes and duplicates.
 TEST_F(SolverTest, StackKeyIsRestoredByPopAndRepush) {
-  VerdictCache cache;
+  PersistentVerdictStore store;
   Solver s(atoms), fresh(atoms);
-  s.attachCache(&cache);
-  fresh.attachCache(&cache);
+  s.attachStore(&store);
+  fresh.attachStore(&store);
   const Constraint base = Constraint::ne(LinExpr::atom(ip), LinExpr::atom(i));
   const Constraint probe = Constraint::eq(LinExpr::atom(ip), LinExpr::atom(i));
   s.add(base);
@@ -855,23 +886,6 @@ TEST_F(SolverTest, StackKeyIsRestoredByPopAndRepush) {
   EXPECT_EQ(s.contentKey(), baseKey);
 }
 
-// A VerdictCache is bound to the AtomTable of the first solver that
-// attaches (one cache = one analysis). The second attach must be rejected
-// loudly.
-TEST(VerdictCacheTest, RejectsSharingAcrossAtomTables) {
-  AtomTable t1, t2;
-  (void)t1.internVar("i", 0, false);
-  (void)t2.internVar("j", 0, false);
-  VerdictCache cache;
-  Solver s1(t1);
-  s1.attachCache(&cache);
-  Solver s2(t2);
-  EXPECT_THROW(s2.attachCache(&cache), Error);
-  // Re-attaching a solver over the SAME table is fine.
-  Solver s3(t1);
-  s3.attachCache(&cache);
-}
-
 // Solvers are thread-confined: the first add/check binds the owner thread,
 // any use from another thread throws, and reset() releases the binding so
 // a pool can hand the instance to a different worker.
@@ -900,23 +914,21 @@ TEST_F(SolverTest, ThreadConfinementIsEnforcedAndResetReleases) {
   EXPECT_EQ(fromWorker, CheckResult::Sat);
 }
 
-// The shared cache itself is safe under concurrent store/lookup: hammer
-// one cache from several threads over disjoint and overlapping keys.
-TEST(VerdictCacheTest, ConcurrentStoresAndLookupsAreConsistent) {
+// The shared store itself is safe under concurrent store/lookup: hammer
+// one store from several threads over disjoint and overlapping keys.
+TEST(VerdictStoreTest, ConcurrentStoresAndLookupsAreConsistent) {
   AtomTable table;
   std::vector<AtomId> vars;
   for (int v = 0; v < 8; ++v)
     vars.push_back(table.internVar("v" + std::to_string(v), 0, false));
-  VerdictCache cache;
-  Solver binder(table);
-  binder.attachCache(&cache);
+  PersistentVerdictStore store;
 
   std::vector<std::thread> threads;
   std::atomic<int> disagreements{0};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       Solver s(table);
-      s.attachCache(&cache);
+      s.attachStore(&store);
       for (int round = 0; round < 50; ++round) {
         const int v = (t + round) % 8;
         s.push();
@@ -936,8 +948,8 @@ TEST(VerdictCacheTest, ConcurrentStoresAndLookupsAreConsistent) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(disagreements.load(), 0);
-  EXPECT_GT(cache.hits(), 0);
-  EXPECT_GT(cache.size(), 0u);
+  EXPECT_GT(store.stats().checkHits, 0);
+  EXPECT_GT(store.stats().checkStores, 0);
 }
 
 }  // namespace
