@@ -8,9 +8,8 @@
 // unit with -emit-c). MODE is one of: formad (default), atomic,
 // reduction, serial, plain, tangent.
 //
-// -engine bytecode|treewalk selects the execution engine (see
-// exec/interp.h); with the bytecode engine, -disasm prints the compiled
-// register-VM listing of the generated kernel to stderr.
+// -disasm prints the bytecode VM's register listing of the generated
+// kernel to stderr (see exec/bytecode.h).
 //
 // -racecheck runs the static primal race checker (racecheck/) before
 // differentiating: a proven race aborts with the counterexample witness;
@@ -100,7 +99,7 @@ int usage() {
          "-mode;\n"
          "                       hybrid guards residual unproven increments "
          "per access site)\n"
-         "                  [-engine bytecode|treewalk] [-disasm]\n"
+         "                  [-disasm]\n"
          "                  [-analyze-only]\n"
          "                  [-racecheck] [-racecheck-only]\n"
          "                  [-bind name=value,...] [-coloring array,...]\n"
@@ -179,7 +178,6 @@ int main(int argc, char** argv) {
   std::string head;
   std::vector<std::string> indeps, deps;
   std::string mode = "formad";
-  std::string engine = "bytecode";
   bool analyzeOnly = false;
   bool emitC = false;
   bool disasm = false;
@@ -219,7 +217,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    else if (arg == "-engine") engine = next();
     else if (arg == "-disasm") disasm = true;
     else if (arg == "-analyze-only") analyzeOnly = true;
     else if (arg == "-emit-c") emitC = true;
@@ -283,12 +280,6 @@ int main(int argc, char** argv) {
       }
     }
     else return usage();
-  }
-  if (engine != "bytecode" && engine != "treewalk") return usage();
-  if (disasm && engine != "bytecode") {
-    std::cerr << "-disasm requires -engine bytecode (the tree-walker "
-                 "interprets the IR directly and has no listing)\n";
-    return 2;
   }
 
   std::ifstream in(file);

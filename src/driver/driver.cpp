@@ -45,6 +45,17 @@ smt::PersistentVerdictStore* resolveStore(
   return owned.get();
 }
 
+/// Resolves the analysis pool of a driver call: a caller-owned client
+/// wins, else a private pool of `threads` owned by `owned` for the call's
+/// duration (none at width 1: the analysis then runs serially).
+support::SharedAnalysisPool::Client* resolvePool(
+    support::SharedAnalysisPool::Client* given, int threads,
+    std::unique_ptr<support::SharedAnalysisPool::Client>& owned) {
+  if (given != nullptr) return given;
+  owned = support::SharedAnalysisPool::makePrivateClient(threads);
+  return owned.get();
+}
+
 }  // namespace
 
 int resolveThreadRequest(int requested, int autoValue) {
@@ -56,14 +67,14 @@ int resolveThreadRequest(int requested, int autoValue) {
 }
 
 int resolveAnalysisThreads(int requested) {
-  return resolveThreadRequest(requested, support::WorkPool::hardwareWidth());
+  return resolveThreadRequest(requested, support::hardwareWidth());
 }
 
 ServePoolPlan resolveServePool(int sessions, int analysisThreads,
                                bool allowOversubscribe) {
   if (sessions < 1)
     fail("serve sessions must be >= 1, got " + std::to_string(sessions));
-  const int hw = support::WorkPool::hardwareWidth();
+  const int hw = support::hardwareWidth();
   const int autoWorkers = std::max(0, hw - sessions);
   ServePoolPlan plan;
   plan.sessions = sessions;
@@ -115,12 +126,9 @@ DifferentiateResult differentiate(const Kernel& primal,
   const int analysisThreads = dopts.analysisPool != nullptr
                                   ? dopts.analysisPool->width()
                                   : resolveAnalysisThreads(dopts.analysisThreads);
-  std::unique_ptr<support::WorkPool> ownedPool;
-  support::TaskPool* poolPtr = dopts.analysisPool;
-  if (poolPtr == nullptr && analysisThreads > 1) {
-    ownedPool = std::make_unique<support::WorkPool>(analysisThreads);
-    poolPtr = ownedPool.get();
-  }
+  std::unique_ptr<support::SharedAnalysisPool::Client> ownedPool;
+  support::SharedAnalysisPool::Client* poolPtr =
+      resolvePool(dopts.analysisPool, analysisThreads, ownedPool);
 
   smt::FaultInject* fault =
       dopts.faultInject != nullptr ? dopts.faultInject : envFaultInjection();
@@ -261,11 +269,9 @@ core::KernelAnalysis analyze(const Kernel& primal,
   core::AnalyzeOptions aopts;
   aopts.exploit.threads = resolveAnalysisThreads(analysisThreads);
   aopts.exploit.fastpath = fastpath;
-  std::unique_ptr<support::WorkPool> pool;
-  if (aopts.exploit.threads > 1) {
-    pool = std::make_unique<support::WorkPool>(aopts.exploit.threads);
-    aopts.exploit.pool = pool.get();
-  }
+  auto ownedPool =
+      support::SharedAnalysisPool::makePrivateClient(aopts.exploit.threads);
+  aopts.exploit.pool = ownedPool.get();
   return core::analyzeKernel(primal, independents, dependents, aopts);
 }
 
@@ -294,14 +300,11 @@ core::KernelAnalysis analyze(const Kernel& primal,
   aopts.exploit.store = resolveStore(opts, fault, ownedStore);
   aopts.model.absint = opts.absint;
   aopts.model.paramValues = opts.racecheck.paramValues;
-  std::unique_ptr<support::WorkPool> pool;
-  if (opts.analysisPool != nullptr) {
-    aopts.exploit.pool = opts.analysisPool;
+  if (opts.analysisPool != nullptr)
     aopts.exploit.threads = opts.analysisPool->width();
-  } else if (aopts.exploit.threads > 1) {
-    pool = std::make_unique<support::WorkPool>(aopts.exploit.threads);
-    aopts.exploit.pool = pool.get();
-  }
+  std::unique_ptr<support::SharedAnalysisPool::Client> ownedPool;
+  aopts.exploit.pool =
+      resolvePool(opts.analysisPool, aopts.exploit.threads, ownedPool);
   return core::analyzeKernel(primal, independents, dependents, aopts);
 }
 

@@ -93,11 +93,10 @@ struct DriverOptions {
   /// Caller-owned analysis worker pool; wins over analysisThreads when
   /// non-null (lets a long-running process — the serving daemon — reuse
   /// one pool across many driver calls instead of spawning threads per
-  /// call). Accepts a private WorkPool or a SharedAnalysisPool client. The
-  /// caller must invoke the driver from the pool's owning thread
-  /// (TaskPool::run is not reentrant). Verdicts and reports are
+  /// call). The caller must invoke the driver from the client's owning
+  /// thread (Client::run is not reentrant). Verdicts and reports are
   /// byte-identical at any pool width, as always.
-  support::TaskPool* analysisPool = nullptr;
+  support::SharedAnalysisPool::Client* analysisPool = nullptr;
 };
 
 /// Resolves a requested analysis thread count: 0 -> hardware concurrency,

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 
 #include "ir/kernel.h"
@@ -1599,8 +1600,16 @@ void BytecodeEngine::Impl::runParallel(RunState& st, const LoopProg& lp,
     omp_set_schedule(lp.loop->sched == Schedule::Dynamic ? omp_sched_dynamic
                                                          : omp_sched_static,
                      lp.loop->sched == Schedule::Dynamic ? 1 : 0);
+    // Guards the shadow merges. Taking it also on entry to and exit from
+    // the region restates, as std::mutex ordering, the fork/join ordering
+    // libgomp's barriers already give: ThreadSanitizer cannot see those
+    // barriers, and without this would report the team's accesses as
+    // racing the encountering thread's before and after the region.
+    std::mutex mergeMu;
+    { std::lock_guard<std::mutex> fork(mergeMu); }
 #pragma omp parallel num_threads(st.numThreads)
     {
+      { std::lock_guard<std::mutex> joinTeam(mergeMu); }
       std::vector<double> fR(static_cast<size_t>(lp.p.numR), 0.0);
       std::vector<long long> fI(static_cast<size_t>(lp.p.numI), 0);
       std::vector<uint8_t> fB(static_cast<size_t>(lp.p.numB), 0);
@@ -1621,9 +1630,10 @@ void BytecodeEngine::Impl::runParallel(RunState& st, const LoopProg& lp,
         tc.lane = block ? &block->lane(iter) : nullptr;
         dispatch<false>(lp.p, tc, st);
       }
-#pragma omp critical
+      std::lock_guard<std::mutex> merge(mergeMu);
       mergeShadows(arrSh, sclSh);
     }
+    { std::lock_guard<std::mutex> join(mergeMu); }
   } else {
     std::vector<double> fR(static_cast<size_t>(lp.p.numR), 0.0);
     std::vector<long long> fI(static_cast<size_t>(lp.p.numI), 0);

@@ -1,9 +1,6 @@
 #include "exec/interp.h"
 
-#include <omp.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -112,7 +109,9 @@ class Executor::Impl {
   Impl(Kernel& kernel) : kernel_(kernel), info_(buildKernelInfo(kernel)) {}
 
   ExecStats run(Inputs& io, const ExecOptions& opts) {
-    opts_ = opts;
+    if (opts.engine == ExecEngine::TreeWalk && opts.mode == ExecMode::OpenMP)
+      fail("the tree-walking engine runs serially only; use the bytecode "
+           "engine for OpenMP execution");
     stats_ = ExecStats{};
     profileMode_ = opts.mode == ExecMode::Profile;
     raceMode_ = opts.logRaces;
@@ -185,7 +184,6 @@ class Executor::Impl {
   std::unique_ptr<BytecodeEngine> bc_;  // compiled lazily on first use
 
   // Run state.
-  ExecOptions opts_;
   ExecStats stats_;
   bool profileMode_ = false;
   std::vector<ScalarVal> shScalars_;
@@ -576,8 +574,6 @@ class Executor::Impl {
         if (a.guard == Guard::Reduction && c.arrShadows != nullptr) {
           int sh = c.loop->shadowOfArray.at(ar.slot);
           (*c.arrShadows)[static_cast<size_t>(sh)].realAt(flat) += v;
-        } else if (a.guard == Guard::Atomic && opts_.mode == ExecMode::OpenMP) {
-          std::atomic_ref<double>(arr->realAt(flat)).fetch_add(v);
         } else {
           arr->realAt(flat) += v;
         }
@@ -586,8 +582,6 @@ class Executor::Impl {
         if (a.guard == Guard::Reduction && c.sclShadows != nullptr) {
           int sh = c.loop->shadowOfScalar.at(vr.slot);
           (*c.sclShadows)[static_cast<size_t>(sh)] += v;
-        } else if (a.guard == Guard::Atomic && opts_.mode == ExecMode::OpenMP) {
-          std::atomic_ref<double>(scalarRef(c, vr.slot).r).fetch_add(v);
         } else {
           scalarRef(c, vr.slot).r += v;
         }
@@ -688,88 +682,51 @@ class Executor::Impl {
       lp->reductionBytes += 8.0 * static_cast<double>(li.redScalarSlots.size());
     }
 
-    auto makeShadows = [&](std::vector<ArrayValue>& arrSh,
-                           std::vector<double>& sclSh) {
-      for (int slot2 : li.redArraySlots) {
-        const ArrayValue& src = *arrays_[static_cast<size_t>(slot2)];
-        std::vector<long long> dims;
-        for (int k = 0; k < src.rank(); ++k) dims.push_back(src.dim(k));
-        arrSh.push_back(ArrayValue::reals(std::move(dims)));
-      }
-      sclSh.assign(li.redScalarSlots.size(), 0.0);
-    };
-    auto mergeShadows = [&](std::vector<ArrayValue>& arrSh,
-                            std::vector<double>& sclSh) {
-      for (size_t j = 0; j < li.redArraySlots.size(); ++j) {
-        ArrayValue& dst = *arrays_[static_cast<size_t>(li.redArraySlots[j])];
-        const auto& src = arrSh[j].realData();
-        for (size_t e = 0; e < src.size(); ++e) dst.realData()[e] += src[e];
-      }
-      for (size_t j = 0; j < li.redScalarSlots.size(); ++j)
-        shScalars_[static_cast<size_t>(li.redScalarSlots[j])].r += sclSh[j];
-    };
-
-    if (opts_.mode == ExecMode::OpenMP && !raceMode_) {
-      omp_set_schedule(f.sched == Schedule::Dynamic ? omp_sched_dynamic
-                                                    : omp_sched_static,
-                       f.sched == Schedule::Dynamic ? 1 : 0);
-      const long long count = r.count;
-#pragma omp parallel num_threads(opts_.numThreads)
-      {
-        Ctx tc;
-        tc.frame.assign(static_cast<size_t>(info_.scalarCount), ScalarVal{});
-        tc.privMask = &li.privMask;
-        tc.loop = &li;
-        tc.inParallel = true;
-        std::vector<ArrayValue> arrSh;
-        std::vector<double> sclSh;
-        makeShadows(arrSh, sclSh);
-        tc.arrShadows = &arrSh;
-        tc.sclShadows = &sclSh;
-#pragma omp for schedule(runtime)
-        for (long long k = 0; k < count; ++k) {
-          long long iter = r.lo + k * r.step;
-          tc.frame[static_cast<size_t>(counterSlot)].i = iter;
-          tc.lane = block ? &block->lane(iter) : nullptr;
-          execBody(f.body, tc);
-        }
-#pragma omp critical
-        mergeShadows(arrSh, sclSh);
-      }
-    } else {
-      // A logged parallel loop nested in another logged loop keeps the
-      // outer loop's iteration identity (conflicts within the inner loop
-      // are still cross-iteration conflicts of the outer region).
-      const bool raceTop = raceMode_ && !raceActive_;
-      if (raceTop) {
-        raceArrayLocs_.clear();
-        raceScalarLocs_.clear();
-        raceActive_ = true;
-      }
-      Ctx tc;
-      tc.frame.assign(static_cast<size_t>(info_.scalarCount), ScalarVal{});
-      tc.privMask = &li.privMask;
-      tc.loop = &li;
-      tc.inParallel = true;
-      std::vector<ArrayValue> arrSh;
-      std::vector<double> sclSh;
-      makeShadows(arrSh, sclSh);
-      tc.arrShadows = &arrSh;
-      tc.sclShadows = &sclSh;
-      OpCounts iterCounts;
-      if (profileMode_) tc.counts = &iterCounts;
-      for (long long k = 0; k < r.count; ++k) {
-        long long iter = r.lo + k * r.step;
-        if (raceTop) raceIter_ = iter;
-        tc.frame[static_cast<size_t>(counterSlot)].i = iter;
-        tc.lane = block ? &block->lane(iter) : nullptr;
-        if (profileMode_) iterCounts = OpCounts{};
-        execBody(f.body, tc);
-        if (profileMode_) lp->perIteration[static_cast<size_t>(k)] = iterCounts;
-      }
-      mergeShadows(arrSh, sclSh);
-      if (raceTop) raceActive_ = false;
+    // A logged parallel loop nested in another logged loop keeps the
+    // outer loop's iteration identity (conflicts within the inner loop
+    // are still cross-iteration conflicts of the outer region).
+    const bool raceTop = raceMode_ && !raceActive_;
+    if (raceTop) {
+      raceArrayLocs_.clear();
+      raceScalarLocs_.clear();
+      raceActive_ = true;
     }
+    Ctx tc;
+    tc.frame.assign(static_cast<size_t>(info_.scalarCount), ScalarVal{});
+    tc.privMask = &li.privMask;
+    tc.loop = &li;
+    tc.inParallel = true;
+    // Reduction guards accumulate into zeroed shadow copies, merged into
+    // the shared storage after the loop.
+    std::vector<ArrayValue> arrSh;
+    for (int slot2 : li.redArraySlots) {
+      const ArrayValue& src = *arrays_[static_cast<size_t>(slot2)];
+      std::vector<long long> dims;
+      for (int k = 0; k < src.rank(); ++k) dims.push_back(src.dim(k));
+      arrSh.push_back(ArrayValue::reals(std::move(dims)));
+    }
+    std::vector<double> sclSh(li.redScalarSlots.size(), 0.0);
+    tc.arrShadows = &arrSh;
+    tc.sclShadows = &sclSh;
+    OpCounts iterCounts;
+    if (profileMode_) tc.counts = &iterCounts;
+    for (long long k = 0; k < r.count; ++k) {
+      long long iter = r.lo + k * r.step;
+      if (raceTop) raceIter_ = iter;
+      tc.frame[static_cast<size_t>(counterSlot)].i = iter;
+      tc.lane = block ? &block->lane(iter) : nullptr;
+      if (profileMode_) iterCounts = OpCounts{};
+      execBody(f.body, tc);
+      if (profileMode_) lp->perIteration[static_cast<size_t>(k)] = iterCounts;
+    }
+    for (size_t j = 0; j < li.redArraySlots.size(); ++j) {
+      ArrayValue& dst = *arrays_[static_cast<size_t>(li.redArraySlots[j])];
+      const auto& src = arrSh[j].realData();
+      for (size_t e = 0; e < src.size(); ++e) dst.realData()[e] += src[e];
+    }
+    for (size_t j = 0; j < li.redScalarSlots.size(); ++j)
+      shScalars_[static_cast<size_t>(li.redScalarSlots[j])].r += sclSh[j];
+    if (raceTop) raceActive_ = false;
 
     tapePeak_ = std::max(tapePeak_, tape_.bytes());
     if (f.usesTape && f.reversed) tape_.popBlock();

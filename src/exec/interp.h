@@ -6,8 +6,8 @@
 //   - Serial:  single-threaded reference execution (used for correctness
 //     baselines and as the paper's "serial version" timings source);
 //   - OpenMP:  parallel loops run on real OpenMP threads; atomic guards use
-//     std::atomic_ref, reduction guards use per-thread shadow copies merged
-//     after the loop;
+//     atomic updates, reduction guards use per-thread shadow copies merged
+//     after the loop (bytecode engine only);
 //   - Profile: serial execution that records per-iteration operation counts
 //     (counts.h) for the cost-model simulator.
 //
@@ -31,7 +31,8 @@ namespace formad::exec {
 enum class ExecMode { Serial, OpenMP, Profile };
 
 /// Which execution engine runs the kernel:
-///   - TreeWalk: the original AST-walking interpreter (reference semantics);
+///   - TreeWalk: the original AST-walking interpreter, serial only (the
+///     reference semantics; an OpenMP-mode run throws formad::Error);
 ///   - Bytecode: the compiled register VM (bytecode.h), bit-identical to the
 ///     tree-walker and substantially faster — the default.
 enum class ExecEngine { TreeWalk, Bytecode };

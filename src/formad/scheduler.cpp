@@ -463,7 +463,7 @@ RegionVerdict QueryScheduler::replay(
   return verdict;
 }
 
-RegionVerdict QueryScheduler::run(support::TaskPool* pool,
+RegionVerdict QueryScheduler::run(support::SharedAnalysisPool::Client* pool,
                                   support::CancelToken* cancel) {
   auto t0 = std::chrono::steady_clock::now();
   const int width = pool != nullptr ? pool->width() : 1;

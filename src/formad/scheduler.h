@@ -46,11 +46,7 @@
 #include "formad/exploit.h"
 #include "formad/knowledge.h"
 #include "smt/fingerprint.h"
-
-namespace formad::support {
-class CancelToken;
-class TaskPool;
-}
+#include "support/pool.h"
 
 namespace formad::core {
 
@@ -120,7 +116,7 @@ class QueryScheduler {
   /// region's cooperative cancellation token: tasks it stops before they
   /// evaluate degrade to unsafe pairs in replay (which pairs depends on
   /// timing — cancellation trades reproducibility for liveness).
-  [[nodiscard]] RegionVerdict run(support::TaskPool* pool,
+  [[nodiscard]] RegionVerdict run(support::SharedAnalysisPool::Client* pool,
                                   support::CancelToken* cancel = nullptr);
 
  private:

@@ -1,7 +1,9 @@
 #include "parser/parser.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
 
 #include "ir/builder.h"
 #include "parser/lexer.h"
@@ -11,6 +13,12 @@ namespace formad::parser {
 namespace {
 
 using namespace formad::ir;
+
+/// Deepest tree the parser builds, counting statement bodies, nested
+/// expressions and every operator of a chain like a + b + ... as levels.
+/// Every later pass walks the IR recursively, so a deeper tree would
+/// overflow the stack.
+constexpr int kMaxDepth = 2000;
 
 const std::map<std::string, Intrinsic>& intrinsicTable() {
   static const std::map<std::string, Intrinsic> table = {
@@ -58,6 +66,35 @@ class Parser {
  private:
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  int depth_ = 0;   // open statement bodies and nested expressions
+  int height_ = 0;  // height of the expression the last parser returned
+
+  /// Holds one nesting level open for the duration of a recursive parse.
+  class Nested {
+   public:
+    Nested(Parser& p, SourceLoc loc) : p_(p) {
+      if (++p_.depth_ > kMaxDepth) p_.tooDeep(loc);
+    }
+    ~Nested() { --p_.depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
+  [[noreturn]] void tooDeep(SourceLoc loc) {
+    fail("nesting exceeds the parser's depth limit of " +
+             std::to_string(kMaxDepth) + " levels",
+         loc);
+  }
+
+  /// Height of a node over children of height `childHeight`, checked
+  /// against the depth limit at the node's position.
+  int grow(int childHeight, SourceLoc loc) {
+    if (depth_ + childHeight + 1 > kMaxDepth) tooDeep(loc);
+    return childHeight + 1;
+  }
 
   [[nodiscard]] const Token& cur() const { return toks_[pos_]; }
   [[nodiscard]] bool at(TokKind k) const { return cur().kind == k; }
@@ -137,6 +174,7 @@ class Parser {
   }
 
   StmtList stmtsUntilRBrace() {
+    Nested nested(*this, cur().loc);
     StmtList body;
     while (!at(TokKind::RBrace)) {
       if (at(TokKind::Eof)) fail("unexpected end of input", cur().loc);
@@ -280,31 +318,50 @@ class Parser {
     if (accept(TokKind::LBracket)) {
       std::vector<ExprPtr> idx;
       idx.push_back(expression());
-      while (accept(TokKind::Comma)) idx.push_back(expression());
+      int h = height_;
+      while (accept(TokKind::Comma)) {
+        idx.push_back(expression());
+        h = std::max(h, height_);
+      }
       expect(TokKind::RBracket);
+      height_ = grow(h, loc);
       return std::make_unique<ArrayRef>(std::move(name), std::move(idx), loc);
     }
+    height_ = grow(0, loc);
     return std::make_unique<VarRef>(std::move(name), loc);
   }
 
-  // Expression precedence climbing.
-  ExprPtr expression() { return orExpr(); }
+  // Expression precedence climbing. Each loop below builds a left-leaning
+  // chain without recursing, so it tracks the chain's height itself.
+  ExprPtr expression() {
+    Nested nested(*this, cur().loc);
+    return orExpr();
+  }
 
   ExprPtr orExpr() {
     auto e = andExpr();
+    int h = height_;
     while (at(TokKind::OrOr)) {
       SourceLoc loc = next().loc;
-      e = std::make_unique<Binary>(BinOp::Or, std::move(e), andExpr(), loc);
+      auto r = andExpr();
+      h = grow(std::max(h, height_), loc);
+      e = std::make_unique<Binary>(BinOp::Or, std::move(e), std::move(r), loc);
     }
+    height_ = h;
     return e;
   }
 
   ExprPtr andExpr() {
     auto e = cmpExpr();
+    int h = height_;
     while (at(TokKind::AndAnd)) {
       SourceLoc loc = next().loc;
-      e = std::make_unique<Binary>(BinOp::And, std::move(e), cmpExpr(), loc);
+      auto r = cmpExpr();
+      h = grow(std::max(h, height_), loc);
+      e = std::make_unique<Binary>(BinOp::And, std::move(e), std::move(r),
+                                   loc);
     }
+    height_ = h;
     return e;
   }
 
@@ -321,52 +378,67 @@ class Parser {
       default: break;
     }
     if (op) {
+      const int hl = height_;
       SourceLoc loc = next().loc;
-      e = std::make_unique<Binary>(*op, std::move(e), addExpr(), loc);
+      auto r = addExpr();
+      height_ = grow(std::max(hl, height_), loc);
+      e = std::make_unique<Binary>(*op, std::move(e), std::move(r), loc);
     }
     return e;
   }
 
   ExprPtr addExpr() {
     auto e = mulExpr();
+    int h = height_;
     while (at(TokKind::Plus) || at(TokKind::Minus)) {
       BinOp op = at(TokKind::Plus) ? BinOp::Add : BinOp::Sub;
       SourceLoc loc = next().loc;
-      e = std::make_unique<Binary>(op, std::move(e), mulExpr(), loc);
+      auto r = mulExpr();
+      h = grow(std::max(h, height_), loc);
+      e = std::make_unique<Binary>(op, std::move(e), std::move(r), loc);
     }
+    height_ = h;
     return e;
   }
 
   ExprPtr mulExpr() {
     auto e = unaryExpr();
+    int h = height_;
     while (at(TokKind::Star) || at(TokKind::Slash) || at(TokKind::Percent)) {
       BinOp op = at(TokKind::Star)    ? BinOp::Mul
                  : at(TokKind::Slash) ? BinOp::Div
                                       : BinOp::Mod;
       SourceLoc loc = next().loc;
-      e = std::make_unique<Binary>(op, std::move(e), unaryExpr(), loc);
+      auto r = unaryExpr();
+      h = grow(std::max(h, height_), loc);
+      e = std::make_unique<Binary>(op, std::move(e), std::move(r), loc);
     }
+    height_ = h;
     return e;
   }
 
   ExprPtr unaryExpr() {
-    if (at(TokKind::Minus)) {
+    if (at(TokKind::Minus) || at(TokKind::Bang)) {
+      UnOp op = at(TokKind::Minus) ? UnOp::Neg : UnOp::Not;
       SourceLoc loc = next().loc;
-      return std::make_unique<Unary>(UnOp::Neg, unaryExpr(), loc);
-    }
-    if (at(TokKind::Bang)) {
-      SourceLoc loc = next().loc;
-      return std::make_unique<Unary>(UnOp::Not, unaryExpr(), loc);
+      Nested nested(*this, loc);
+      auto operand = unaryExpr();
+      height_ = grow(height_, loc);
+      return std::make_unique<Unary>(op, std::move(operand), loc);
     }
     return primary();
   }
 
   ExprPtr primary() {
     SourceLoc loc = cur().loc;
-    if (at(TokKind::IntLit))
+    if (at(TokKind::IntLit)) {
+      height_ = grow(0, loc);
       return std::make_unique<IntLit>(next().intValue, loc);
-    if (at(TokKind::RealLit))
+    }
+    if (at(TokKind::RealLit)) {
+      height_ = grow(0, loc);
       return std::make_unique<RealLit>(next().realValue, loc);
+    }
     if (accept(TokKind::LParen)) {
       auto e = expression();
       expect(TokKind::RParen);
@@ -374,13 +446,11 @@ class Parser {
     }
     if (at(TokKind::Ident)) {
       const std::string& name = cur().text;
-      if (name == "true") {
+      if (name == "true" || name == "false") {
+        const bool value = name == "true";
         next();
-        return std::make_unique<BoolLit>(true, loc);
-      }
-      if (name == "false") {
-        next();
-        return std::make_unique<BoolLit>(false, loc);
+        height_ = grow(0, loc);
+        return std::make_unique<BoolLit>(value, loc);
       }
       auto it = intrinsicTable().find(name);
       if (it != intrinsicTable().end() &&
@@ -388,13 +458,19 @@ class Parser {
         next();  // intrinsic name
         next();  // (
         std::vector<ExprPtr> args;
+        int h = 0;
         if (!at(TokKind::RParen)) {
           args.push_back(expression());
-          while (accept(TokKind::Comma)) args.push_back(expression());
+          h = std::max(h, height_);
+          while (accept(TokKind::Comma)) {
+            args.push_back(expression());
+            h = std::max(h, height_);
+          }
         }
         expect(TokKind::RParen);
         if (static_cast<int>(args.size()) != intrinsicArity(it->second))
           fail("wrong number of arguments to " + name, loc);
+        height_ = grow(h, loc);
         return std::make_unique<Call>(it->second, std::move(args), loc);
       }
       return reference();

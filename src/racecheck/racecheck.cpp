@@ -17,7 +17,6 @@
 #include "smt/diskcache.h"
 #include "smt/solver.h"
 #include "support/cancel.h"
-#include "support/pool.h"
 
 namespace formad::racecheck {
 
@@ -171,7 +170,7 @@ class RegionChecker {
     // region solver otherwise. Each outcome is a pure function of the task,
     // so the merge below is order-independent of evaluation.
     std::vector<PairOutcome> outcomes(tasks.size());
-    support::TaskPool* pool = opts_.pool;
+    support::SharedAnalysisPool::Client* pool = opts_.pool;
     if (pool != nullptr && pool->width() > 1 && tasks.size() > 1) {
       const int width = pool->width();
       std::vector<std::unique_ptr<smt::Solver>> solvers;

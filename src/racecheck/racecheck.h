@@ -43,11 +43,7 @@
 #include "ir/kernel.h"
 #include "smt/fastpath.h"
 #include "support/diagnostics.h"
-
-namespace formad::support {
-class CancelToken;
-class TaskPool;
-}
+#include "support/pool.h"
 
 namespace formad::smt {
 struct FaultInject;
@@ -148,7 +144,7 @@ struct RaceCheckOptions {
   /// scheduler by the driver): per-pair converse queries are evaluated
   /// speculatively across its workers and merged in canonical pair order,
   /// so the report is bit-identical at any pool width.
-  support::TaskPool* pool = nullptr;
+  support::SharedAnalysisPool::Client* pool = nullptr;
   /// Per-check deterministic solver step budget (<= 0 = unlimited). A
   /// query that runs out is reported undecided with reason "solver step
   /// budget exhausted" — never Racy, never RaceFree.

@@ -127,7 +127,7 @@ std::string AnalysisServer::oversizedResponse() const {
 
 void AnalysisServer::sessionLoop() {
   // Each session holds one client handle onto the daemon's shared pool
-  // (TaskPool::run is driven from this thread; stealing workers live in
+  // (Client::run is driven from this thread; stealing workers live in
   // the pool). Request handling never spawns threads — the pool's workers
   // were spun up once in the constructor.
   std::unique_ptr<support::SharedAnalysisPool::Client> client;
@@ -207,8 +207,8 @@ JsonValue AnalysisServer::dispatch(
   fail("unreachable op");
 }
 
-JsonValue AnalysisServer::handleAnalyze(const Request& req,
-                                        support::TaskPool* pool) {
+JsonValue AnalysisServer::handleAnalyze(
+    const Request& req, support::SharedAnalysisPool::Client* pool) {
   ir::Program program = parser::parseProgram(req.source);
   const ir::Kernel& primal = resolveHead(program, req.head);
 
@@ -276,8 +276,8 @@ JsonValue AnalysisServer::handleAnalyze(const Request& req,
   return resp;
 }
 
-JsonValue AnalysisServer::handleRacecheck(const Request& req,
-                                          support::TaskPool* pool) {
+JsonValue AnalysisServer::handleRacecheck(
+    const Request& req, support::SharedAnalysisPool::Client* pool) {
   ir::Program program = parser::parseProgram(req.source);
   const ir::Kernel& primal = resolveHead(program, req.head);
 

@@ -124,10 +124,10 @@ class AnalysisServer {
                                    support::SharedAnalysisPool::Client* client);
   [[nodiscard]] JsonValue dispatch(const Request& req,
                                    support::SharedAnalysisPool::Client* client);
-  [[nodiscard]] JsonValue handleAnalyze(const Request& req,
-                                        support::TaskPool* pool);
-  [[nodiscard]] JsonValue handleRacecheck(const Request& req,
-                                          support::TaskPool* pool);
+  [[nodiscard]] JsonValue handleAnalyze(
+      const Request& req, support::SharedAnalysisPool::Client* pool);
+  [[nodiscard]] JsonValue handleRacecheck(
+      const Request& req, support::SharedAnalysisPool::Client* pool);
   [[nodiscard]] JsonValue handleLint(const Request& req);
   [[nodiscard]] JsonValue handleStats(const Request& req);
 

@@ -5,129 +5,9 @@
 
 namespace formad::support {
 
-WorkPool::WorkPool(int threads) : width_(std::max(1, threads)) {
-  workers_.reserve(static_cast<size_t>(width_ - 1));
-  for (int w = 1; w < width_; ++w)
-    workers_.emplace_back([this, w] { workerLoop(w); });
-}
-
-WorkPool::~WorkPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  wake_.notify_all();
-  for (auto& t : workers_) t.join();
-}
-
-int WorkPool::hardwareWidth() {
+int hardwareWidth() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-void WorkPool::run(size_t n, const std::function<void(size_t, int)>& fn,
-                   CancelToken* cancel) {
-  skipped_.store(0, std::memory_order_relaxed);
-  abort_.store(false, std::memory_order_relaxed);
-  if (n == 0) return;
-  if (width_ == 1 || n == 1) {
-    // Inline serial fast path: no publication, no wakeups. A thrown task
-    // stops the loop by unwinding, so "first exception cancels the rest"
-    // holds here for free.
-    for (size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->poll()) {
-        skipped_.fetch_add(n - i, std::memory_order_release);
-        return;
-      }
-      fn(i, 0);
-    }
-    return;
-  }
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    epoch = ++epoch_;
-    pending_.store(n, std::memory_order_relaxed);
-    fn_.store(&fn, std::memory_order_relaxed);
-    cancel_.store(cancel, std::memory_order_relaxed);
-    limit_.store((epoch << kEpochShift) | n, std::memory_order_release);
-    // Publishing the cursor opens the epoch for claiming: workers claim
-    // tickets with an acq_rel RMW on cursor_, which synchronizes with this
-    // release store.
-    cursor_.store(epoch << kEpochShift, std::memory_order_release);
-  }
-  wake_.notify_all();
-
-  drain(0);
-
-  std::unique_lock<std::mutex> lk(mu_);
-  done_.wait(lk, [this] { return pending_.load() == 0; });
-  fn_.store(nullptr, std::memory_order_relaxed);
-  cancel_.store(nullptr, std::memory_order_relaxed);
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    lk.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
-void WorkPool::drain(int worker) {
-  while (true) {
-    uint64_t ticket = cursor_.fetch_add(1, std::memory_order_acq_rel);
-    uint64_t epoch = ticket >> kEpochShift;
-    uint64_t index = ticket & kIndexMask;
-    uint64_t limit = limit_.load(std::memory_order_acquire);
-    // Honor the claim only if the ticket belongs to the epoch limit_
-    // currently describes and its index is in range. A stale ticket (drawn
-    // for an epoch that has since completed) fails the epoch comparison, so
-    // it can never be validated against a later run's task count. A ticket
-    // that passes pins its run: pending_ cannot reach zero until this task
-    // executes, so fn_ still points at this epoch's descriptor.
-    if ((limit >> kEpochShift) != epoch || index >= (limit & kIndexMask))
-      return;
-    const auto* fn = fn_.load(std::memory_order_acquire);
-    CancelToken* cancel = cancel_.load(std::memory_order_acquire);
-    // A claimed task still decrements pending_ when skipped — otherwise
-    // run() would wait forever for tasks that never execute.
-    if (abort_.load(std::memory_order_acquire) ||
-        (cancel != nullptr && cancel->poll())) {
-      skipped_.fetch_add(1, std::memory_order_acq_rel);
-    } else {
-      try {
-        (*fn)(index, worker);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          if (!error_) error_ = std::current_exception();
-        }
-        // First exception cancels the rest of the run: surviving workers
-        // skip at their next claim, and (via the token) in-flight solver
-        // checks unwind at their next cooperative poll.
-        abort_.store(true, std::memory_order_release);
-        if (cancel != nullptr) cancel->cancel();
-      }
-    }
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last task: wake the owner. Taking the mutex orders this notify
-      // against the owner's predicate check, so the wakeup cannot be lost.
-      std::lock_guard<std::mutex> lk(mu_);
-      done_.notify_all();
-    }
-  }
-}
-
-void WorkPool::workerLoop(int worker) {
-  uint64_t seen = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      wake_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-    }
-    drain(worker);
-  }
 }
 
 SharedAnalysisPool::SharedAnalysisPool(int workers)
@@ -153,6 +33,15 @@ std::unique_ptr<SharedAnalysisPool::Client> SharedAnalysisPool::makeClient() {
   return std::unique_ptr<Client>(new Client(this));
 }
 
+std::unique_ptr<SharedAnalysisPool::Client>
+SharedAnalysisPool::makePrivateClient(int width) {
+  if (width <= 1) return nullptr;
+  auto pool = std::make_unique<SharedAnalysisPool>(width - 1);
+  std::unique_ptr<Client> client = pool->makeClient();
+  client->owned_ = std::move(pool);
+  return client;
+}
+
 int SharedAnalysisPool::Client::width() const { return pool_->nWorkers_ + 1; }
 
 void SharedAnalysisPool::Client::setPriority(int priority) {
@@ -165,13 +54,20 @@ void SharedAnalysisPool::Client::run(
   lastSkipped_ = 0;
   if (n == 0) return;
   if (pool_->nWorkers_ == 0 || n == 1) {
-    // Inline serial fast path, identical to WorkPool's width-1 behavior.
+    // Inline serial fast path: no job, no wakeups. A throw skips the rest
+    // and fires the token, as the job path below does.
     for (size_t i = 0; i < n; ++i) {
       if (cancel != nullptr && cancel->poll()) {
         lastSkipped_ = n - i;
         return;
       }
-      fn(i, 0);
+      try {
+        fn(i, 0);
+      } catch (...) {
+        lastSkipped_ = n - i - 1;
+        if (cancel != nullptr) cancel->cancel();
+        throw;
+      }
     }
     return;
   }

@@ -209,7 +209,7 @@ TEST(Driver, ServePoolRejectsNegativeWorkerRequests) {
 // concurrency minus sessions, floored at zero (sessions then analyze
 // inline at width 1, never negative).
 TEST(Driver, ServePoolAutoSizesToHardwareMinusSessions) {
-  const int hw = support::WorkPool::hardwareWidth();
+  const int hw = support::hardwareWidth();
   const auto plan = driver::resolveServePool(1, 0, false);
   EXPECT_EQ(plan.sessions, 1);
   EXPECT_EQ(plan.poolWorkers, std::max(0, hw - 1));
@@ -227,7 +227,7 @@ TEST(Driver, ServePoolAutoSizesToHardwareMinusSessions) {
 // to the auto size with a warning naming the override flag — unless the
 // operator opts in, in which case the request is honored verbatim.
 TEST(Driver, ServePoolClampsOversubscriptionUnlessOverridden) {
-  const int hw = support::WorkPool::hardwareWidth();
+  const int hw = support::hardwareWidth();
   const int greedy = hw * 4;
 
   const auto clamped = driver::resolveServePool(2, greedy, false);

@@ -16,10 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,14 +32,12 @@
 #include "smt/solver.h"
 #include "support/cancel.h"
 #include "support/diagnostics.h"
-#include "support/pool.h"
 
 namespace formad {
 namespace {
 
 using support::CancelToken;
 using support::Cancelled;
-using support::WorkPool;
 
 // ------------------------------------------------------------ CancelToken
 
@@ -201,87 +197,6 @@ TEST(SolverBudget, PrivateCacheHonorsTheSameGuard) {
   EXPECT_EQ(s.check(), smt::CheckResult::Unsat);
   // And the upgraded complete entry now serves the unlimited re-check.
   EXPECT_EQ(s.check(), smt::CheckResult::Unsat);
-}
-
-// ---------------------------------------------------------------- WorkPool
-
-TEST(WorkPoolCancel, FirstExceptionCancelsRestAtWidth4) {
-  WorkPool pool(4);
-  CancelToken cancel;
-  std::atomic<size_t> executed{0};
-  const size_t n = 64;
-  bool threw = false;
-  try {
-    pool.run(
-        n,
-        [&](size_t task, int) {
-          if (task == 0) throw std::runtime_error("task 0 failed");
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          executed.fetch_add(1);
-        },
-        &cancel);
-  } catch (const std::runtime_error& e) {
-    threw = true;
-    EXPECT_STREQ(e.what(), "task 0 failed");
-  }
-  EXPECT_TRUE(threw);
-  EXPECT_TRUE(cancel.cancelled()) << "the failure must fire the token";
-  // Every non-throwing task either executed or was skipped — the skip
-  // accounting is what lets callers degrade unfinished work conservatively.
-  EXPECT_EQ(executed.load() + pool.lastRunSkipped(), n - 1);
-  EXPECT_GT(pool.lastRunSkipped(), 0u)
-      << "with 63 sleeping tasks on 4 workers, the abort must skip some";
-
-  // The pool stays usable for the next run.
-  std::atomic<size_t> after{0};
-  pool.run(8, [&](size_t, int) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 8u);
-  EXPECT_EQ(pool.lastRunSkipped(), 0u);
-}
-
-TEST(WorkPoolCancel, ExceptionAtWidth1StopsTheInlineLoop) {
-  WorkPool pool(1);
-  std::atomic<size_t> executed{0};
-  EXPECT_THROW(pool.run(8,
-                        [&](size_t task, int) {
-                          if (task == 3) throw std::runtime_error("boom");
-                          executed.fetch_add(1);
-                        }),
-               std::runtime_error);
-  // The inline serial path unwinds at the throw: tasks 0..2 ran, nothing
-  // after task 3 did.
-  EXPECT_EQ(executed.load(), 3u);
-}
-
-TEST(WorkPoolCancel, PreCancelledTokenSkipsEveryTask) {
-  for (int width : {1, 4}) {
-    WorkPool pool(width);
-    CancelToken cancel;
-    cancel.cancel();
-    std::atomic<size_t> executed{0};
-    pool.run(
-        16, [&](size_t, int) { executed.fetch_add(1); }, &cancel);
-    EXPECT_EQ(executed.load(), 0u) << "width " << width;
-    EXPECT_EQ(pool.lastRunSkipped(), 16u) << "width " << width;
-  }
-}
-
-TEST(WorkPoolCancel, DeadlineTokenStopsALongRun) {
-  WorkPool pool(4);
-  CancelToken cancel;
-  cancel.armDeadline(5);
-  std::atomic<size_t> executed{0};
-  pool.run(
-      1000,
-      [&](size_t, int) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        executed.fetch_add(1);
-      },
-      &cancel);
-  // Liveness, not a precise count: the run returned (no hang) and the
-  // deadline prevented the full grind through 1000 ms of work.
-  EXPECT_EQ(executed.load() + pool.lastRunSkipped(), 1000u);
-  EXPECT_GT(pool.lastRunSkipped(), 0u);
 }
 
 // ---------------------------------------------- degradation, end to end

@@ -5,8 +5,8 @@
 // unproven sites are guarded (atomic or thread-local accumulation, cost
 // model's pick). Whatever mix the builder chooses, the numbers must be the
 // numbers: on every paper kernel the hybrid gradients match the serial and
-// the all-atomic references within 1e-12 relative error under both
-// execution engines and multiple OpenMP threads; on the deliberately racy
+// the all-atomic references within 1e-12 relative error on the bytecode VM
+// at multiple OpenMP threads; on the deliberately racy
 // mutants (executed serially — their parallel primal is nondeterministic
 // by construction) hybrid still reproduces the serial reference; and a
 // budget-starved hybrid — every site degraded — agrees with the unstarved
@@ -66,26 +66,21 @@ void expectSameGradients(
   }
 }
 
-class HybridExec
-    : public ::testing::TestWithParam<std::pair<ExecEngine, int>> {};
+class HybridExec : public ::testing::TestWithParam<int> {};
 
 TEST_P(HybridExec, GradientsMatchSerialAndAtomicOnPaperKernels) {
-  const auto [engine, threads] = GetParam();
+  const int threads = GetParam();
   ASSERT_GT(threads, 1) << "this suite exists to exercise numThreads > 1";
 
   ExecOptions serial;
-  serial.engine = engine;
   serial.mode = ExecMode::Serial;
 
   ExecOptions omp;
-  omp.engine = engine;
   omp.mode = ExecMode::OpenMP;
   omp.numThreads = threads;
 
   for (const Case& c : paperKernels()) {
-    const std::string ctx =
-        c.name + " @" + std::to_string(threads) + "T " +
-        (engine == ExecEngine::Bytecode ? "bytecode" : "treewalk");
+    const std::string ctx = c.name + " @" + std::to_string(threads) + "T";
     auto ref = adjointGradients(c.harness, AdjointMode::Serial, serial, 5);
     auto atomic = adjointGradients(c.harness, AdjointMode::Atomic, omp, 5);
     auto hybrid = adjointGradients(c.harness, AdjointMode::Hybrid, omp, 5);
@@ -94,12 +89,7 @@ TEST_P(HybridExec, GradientsMatchSerialAndAtomicOnPaperKernels) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EnginesAndThreads, HybridExec,
-    ::testing::Values(std::make_pair(ExecEngine::TreeWalk, 2),
-                      std::make_pair(ExecEngine::TreeWalk, 4),
-                      std::make_pair(ExecEngine::Bytecode, 2),
-                      std::make_pair(ExecEngine::Bytecode, 4)));
+INSTANTIATE_TEST_SUITE_P(Threads, HybridExec, ::testing::Values(2, 4));
 
 // The racy mutants force real residue: their analysis leaves unproven
 // pairs, so hybrid must guard. Their parallel primal is nondeterministic,
@@ -164,19 +154,14 @@ TEST(HybridGovernance, BudgetStarvedAgreesWithUnstarved) {
   driver::DriverOptions unstarved;
   unstarved.mode = AdjointMode::Hybrid;
 
-  for (ExecEngine engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    ExecOptions omp;
-    omp.engine = engine;
-    omp.mode = ExecMode::OpenMP;
-    omp.numThreads = 4;
-    for (const Case& c : paperKernels()) {
-      const std::string ctx =
-          c.name + " starved-vs-unstarved" +
-          (engine == ExecEngine::Bytecode ? " bytecode" : " treewalk");
-      auto full = adjointGradients(c.harness, unstarved, omp, 5);
-      auto lean = adjointGradients(c.harness, starved, omp, 5);
-      expectSameGradients(full, lean, ctx);
-    }
+  ExecOptions omp;
+  omp.mode = ExecMode::OpenMP;
+  omp.numThreads = 4;
+  for (const Case& c : paperKernels()) {
+    const std::string ctx = c.name + " starved-vs-unstarved";
+    auto full = adjointGradients(c.harness, unstarved, omp, 5);
+    auto lean = adjointGradients(c.harness, starved, omp, 5);
+    expectSameGradients(full, lean, ctx);
   }
 }
 

@@ -1,7 +1,7 @@
 // ExecMode::OpenMP coverage for the paper kernels: the FormAD adjoint of
 // every paper kernel, executed with multiple OpenMP threads, must match
-// the serial execution of the same adjoint within 1e-12 relative error,
-// under BOTH execution engines (tree-walker and bytecode VM).
+// the serial execution of the same adjoint within 1e-12 relative error on
+// the bytecode VM (the tree-walker is the serial-only reference).
 //
 // Why a tolerance and not bit-equality: reduction-guarded adjoint arrays
 // are accumulated into thread-private copies which the runtime merges in
@@ -13,10 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "helpers.h"
+#include "kernels/stencil.h"
 
 namespace formad::testing {
 namespace {
@@ -41,19 +41,16 @@ std::vector<Case> paperKernels() {
   return cases;
 }
 
-class OpenMPExec
-    : public ::testing::TestWithParam<std::pair<ExecEngine, int>> {};
+class OpenMPExec : public ::testing::TestWithParam<int> {};
 
 TEST_P(OpenMPExec, AdjointMatchesSerialOnPaperKernels) {
-  const auto [engine, threads] = GetParam();
+  const int threads = GetParam();
   ASSERT_GT(threads, 1) << "this suite exists to exercise numThreads > 1";
 
   ExecOptions serial;
-  serial.engine = engine;
   serial.mode = ExecMode::Serial;
 
   ExecOptions omp;
-  omp.engine = engine;
   omp.mode = ExecMode::OpenMP;
   omp.numThreads = threads;
 
@@ -72,12 +69,20 @@ TEST_P(OpenMPExec, AdjointMatchesSerialOnPaperKernels) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EnginesAndThreads, OpenMPExec,
-    ::testing::Values(std::make_pair(ExecEngine::TreeWalk, 2),
-                      std::make_pair(ExecEngine::TreeWalk, 4),
-                      std::make_pair(ExecEngine::Bytecode, 2),
-                      std::make_pair(ExecEngine::Bytecode, 4)));
+INSTANTIATE_TEST_SUITE_P(Threads, OpenMPExec, ::testing::Values(2, 4));
+
+// The tree-walker is the serial reference only: asking it for OpenMP
+// execution is an error, never a silently serial run.
+TEST(OpenMPExecTreeWalk, OpenMPModeIsRejected) {
+  auto k = parser::parseKernel(kernels::stencilSpec(1).source);
+  exec::Executor ex(*k);
+  exec::Inputs io;
+  ExecOptions omp;
+  omp.engine = ExecEngine::TreeWalk;
+  omp.mode = ExecMode::OpenMP;
+  omp.numThreads = 2;
+  EXPECT_THROW((void)ex.run(io, omp), Error);
+}
 
 }  // namespace
 }  // namespace formad::testing

@@ -2,9 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "analysis/symbols.h"
 #include "ir/printer.h"
+#include "kernels/gfmc.h"
+#include "kernels/greengauss.h"
+#include "kernels/indirect.h"
+#include "kernels/lbm.h"
+#include "kernels/mutants.h"
+#include "kernels/stencil.h"
 #include "parser/lexer.h"
 #include "parser/parser.h"
 
@@ -160,6 +167,58 @@ TEST(Parser, ErrorsCarryLocations) {
   } catch (const Error& e) {
     EXPECT_GT(e.where().line, 1);
   }
+}
+
+/// A kernel whose one statement is `y[i] = <rhs>;` on line 3.
+std::string kernelAssigning(const std::string& rhs) {
+  return "kernel k(n: int in, x: real[] in, y: real[] inout) {\n"
+         "  parallel for i = 0 : n - 1 {\n"
+         "    y[i] = " +
+         rhs + ";\n  }\n}\n";
+}
+
+std::string nestedParens(int depth) {
+  return std::string(static_cast<size_t>(depth), '(') + "x[i]" +
+         std::string(static_cast<size_t>(depth), ')');
+}
+
+std::string flatSum(int terms) {
+  std::string sum = "x[i]";
+  for (int t = 1; t < terms; ++t) sum += " + x[i]";
+  return sum;
+}
+
+// Input nesting past the parser's depth limit is a located parse error,
+// whether it nests by recursion (parentheses, unary minus) or as one flat
+// operator chain, which builds a left-leaning tree as deep as the chain is
+// long without any recursion in the parser.
+TEST(Parser, NestingPastTheDepthLimitIsALocatedError) {
+  for (const std::string& rhs :
+       {nestedParens(20000), std::string(20000, '-') + "x[i]",
+        flatSum(100000)}) {
+    try {
+      (void)parseKernel(kernelAssigning(rhs));
+      ADD_FAILURE() << "expected a depth error for " << rhs.substr(0, 16);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.where().line, 3) << e.what();
+      EXPECT_NE(std::string(e.what()).find("depth limit"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Well inside the limit, the same shapes parse.
+  EXPECT_NO_THROW((void)parseKernel(kernelAssigning(nestedParens(500))));
+  EXPECT_NO_THROW((void)parseKernel(kernelAssigning(flatSum(1000))));
+}
+
+TEST(Parser, EveryPaperKernelParsesUnderTheDepthLimit) {
+  for (const auto& spec :
+       {kernels::stencilSpec(1), kernels::stencilSpec(8), kernels::lbmSpec(),
+        kernels::gfmcSplitSpec(), kernels::gfmcFusedSpec(),
+        kernels::greenGaussSpec(), kernels::indirectSpec(),
+        kernels::stencilRacySpec(), kernels::stencilStrideRacySpec(),
+        kernels::lbmRacySpec(), kernels::gatherRacySpec(),
+        kernels::sumRacySpec()})
+    EXPECT_NO_THROW((void)parseProgram(spec.source)) << spec.name;
 }
 
 // ---- semantic verification ----

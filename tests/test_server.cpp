@@ -290,6 +290,37 @@ TEST(ServerProtocol, ArithmeticOverflowNeverKillsTheDaemon) {
   EXPECT_TRUE(okOf(parse(daemon.process(stats))));
 }
 
+// Sources nesting past the parser's depth limit, by recursion (20,000
+// nested parentheses, 40 KB) or as one flat chain (a 100,000-term sum,
+// 700 KB, under the frame limit), fail the one request as a located
+// kernel_error; the daemon keeps serving.
+TEST(ServerProtocol, NestingPastTheDepthLimitIsAKernelError) {
+  AnalysisServer daemon(ServeOptions{});
+  std::string sum = "x[i]";
+  for (int t = 1; t < 100000; ++t) sum += " + x[i]";
+  kernels::KernelSpec spec;
+  spec.name = "deep";
+  spec.independents = {"x"};
+  spec.dependents = {"v"};
+  for (const std::string& rhs :
+       {std::string(20000, '(') + "x[i]" + std::string(20000, ')'), sum}) {
+    spec.source =
+        "kernel k(n: int in, x: real[] in, v: real[] inout) {\n"
+        "  parallel for i = 0 : n - 1 {\n"
+        "    v[i] = " +
+        rhs + ";\n  }\n}\n";
+    JsonValue r = parse(daemon.process(analyzeFrame(spec)));
+    EXPECT_FALSE(okOf(r));
+    EXPECT_EQ(errorCodeOf(r), "kernel_error");
+    const JsonValue* err = r.find("error");
+    ASSERT_NE(err, nullptr);
+    const std::string message = stringField(*err, "message");
+    EXPECT_EQ(message.rfind("3:", 0), 0u) << message;
+    EXPECT_NE(message.find("depth limit"), std::string::npos) << message;
+    EXPECT_TRUE(okOf(parse(daemon.process(R"({"op":"stats"})"))));
+  }
+}
+
 TEST(ServerProtocol, BadRequestStillEchoesTheId) {
   AnalysisServer daemon(ServeOptions{});
   JsonValue r = parse(daemon.process(R"({"id":"req-9","op":"noop"})"));

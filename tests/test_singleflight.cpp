@@ -1,7 +1,7 @@
 // The shared work-stealing analysis pool (support::SharedAnalysisPool) and
 // the single-flight in-flight proof registry layered over
 // smt::PersistentVerdictStore: every task index runs exactly once at any
-// worker count, exceptions and cancellation keep WorkPool's semantics,
+// worker count, a throw or a fired token skips the rest of a run,
 // priority classes and fairness stats behave, duplicate claims join the
 // winner's published verdict, an unclaimed (failed) winner hands ownership
 // to a joiner instead of wedging it, budget-insufficient publishes do not
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,7 +46,7 @@ struct TempDir {
 };
 
 // ---------------------------------------------------------------------------
-// SharedAnalysisPool: the TaskPool contract.
+// SharedAnalysisPool: the pool contract.
 
 TEST(SharedPool, EveryIndexRunsExactlyOnceAtAnyWorkerCount) {
   for (int workers : {0, 1, 3, 7}) {
@@ -66,25 +67,48 @@ TEST(SharedPool, EveryIndexRunsExactlyOnceAtAnyWorkerCount) {
   }
 }
 
+// A throw is rethrown after the run, fires the token and skips every
+// unclaimed task; the client stays usable for the next run. Inline (no
+// workers) the run stops right at the throw, after tasks 0..2.
 TEST(SharedPool, FirstExceptionRethrownAndRestSkipped) {
-  support::SharedAnalysisPool pool(3);
-  auto client = pool.makeClient();
-  std::atomic<int> executed{0};
-  support::CancelToken cancel;
-  EXPECT_THROW(
+  for (int workers : {0, 3}) {
+    support::SharedAnalysisPool pool(workers);
+    auto client = pool.makeClient();
+    support::CancelToken cancel;
+    constexpr size_t n = 64;
+    std::vector<std::atomic<int>> ran(n);
+    for (auto& r : ran) r.store(0);
+    try {
       client->run(
-          200,
+          n,
           [&](size_t i, int) {
-            if (i == 0) throw std::runtime_error("boom");
-            executed.fetch_add(1);
+            if (i == 3) throw std::runtime_error("task 3 failed");
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            ran[i].store(1);
           },
-          &cancel),
-      std::runtime_error);
-  // The throw cancels the rest: executed + skipped + the thrower cover all
-  // 200 indices, and at least some tail was skipped, not executed.
-  EXPECT_EQ(executed.load() + static_cast<int>(client->lastRunSkipped()) + 1,
-            200);
-  EXPECT_TRUE(cancel.cancelled());
+          &cancel);
+      ADD_FAILURE() << "workers=" << workers << ": the throw was swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 3 failed");
+    }
+    EXPECT_TRUE(cancel.cancelled()) << "workers=" << workers;
+    size_t executed = 0;
+    for (const auto& r : ran) executed += static_cast<size_t>(r.load());
+    // Every other task either ran or was skipped: the skip count is what
+    // lets callers degrade unfinished work conservatively.
+    EXPECT_EQ(executed + client->lastRunSkipped(), n - 1)
+        << "workers=" << workers;
+    EXPECT_GT(client->lastRunSkipped(), 0u) << "workers=" << workers;
+    if (workers == 0) {
+      EXPECT_EQ(executed, 3u);
+      for (size_t i = 0; i < 3; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
+    }
+
+    std::atomic<size_t> after{0};
+    client->run(8, [&](size_t, int) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 8u) << "workers=" << workers;
+    EXPECT_EQ(client->lastRunSkipped(), 0u) << "workers=" << workers;
+  }
 }
 
 TEST(SharedPool, FiredCancelTokenSkipsRemainingTasks) {
@@ -101,6 +125,42 @@ TEST(SharedPool, FiredCancelTokenSkipsRemainingTasks) {
       &cancel);
   EXPECT_GT(client->lastRunSkipped(), 0u);
   EXPECT_EQ(executed.load() + static_cast<int>(client->lastRunSkipped()), 100);
+}
+
+TEST(SharedPool, PreCancelledTokenSkipsEveryTask) {
+  for (int workers : {0, 3}) {
+    support::SharedAnalysisPool pool(workers);
+    auto client = pool.makeClient();
+    support::CancelToken cancel;
+    cancel.cancel();
+    std::atomic<size_t> executed{0};
+    client->run(
+        16, [&](size_t, int) { executed.fetch_add(1); }, &cancel);
+    EXPECT_EQ(executed.load(), 0u) << "workers=" << workers;
+    EXPECT_EQ(client->lastRunSkipped(), 16u) << "workers=" << workers;
+  }
+}
+
+TEST(SharedPool, DeadlineTokenStopsALongRun) {
+  for (int workers : {0, 3}) {
+    support::SharedAnalysisPool pool(workers);
+    auto client = pool.makeClient();
+    support::CancelToken cancel;
+    cancel.armDeadline(5);
+    std::atomic<size_t> executed{0};
+    client->run(
+        1000,
+        [&](size_t, int) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          executed.fetch_add(1);
+        },
+        &cancel);
+    // Liveness, not a precise count: the run returned and the deadline
+    // cut the 1000 ms of work short.
+    EXPECT_EQ(executed.load() + client->lastRunSkipped(), 1000u)
+        << "workers=" << workers;
+    EXPECT_GT(client->lastRunSkipped(), 0u) << "workers=" << workers;
+  }
 }
 
 TEST(SharedPool, ConcurrentClientsAllCompleteAndShareWorkers) {
